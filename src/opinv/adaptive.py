@@ -96,24 +96,20 @@ class AdaptiveRecord:
         return out
 
 
-def _full_misfit(forward_full, z, data) -> float:
-    """Full-order data misfit; solver blow-up counts as an invalid (inf) state."""
-    try:
-        y = np.asarray(forward_full(z), dtype=float)
-    except SolverError:
-        return math.inf
-    if not np.all(np.isfinite(y)):
-        return math.inf
-    return misfit(y, data)
+def full_misfits(forward_full, Z, data) -> list:
+    """Full-order data misfit of each row of Z, from one batch call; a row
+    with non-finite outputs (a failed solve) counts as invalid (inf)."""
+    Y = np.asarray(forward_full(np.atleast_2d(Z)), dtype=float)
+    return [misfit(y, data) if np.all(np.isfinite(y)) else math.inf for y in Y]
 
 
 def select_anchor(traj, forward_full, data) -> AnchorRecord:
     """Pick the trajectory state whose mean best fits the data under the
-    full-order model.  One forward call per state; ties break to the earliest
-    state; blown-up states score inf."""
+    full-order model.  One batch call scores every state; ties break to the
+    earliest state; blown-up states score inf."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    misfits = [_full_misfit(forward_full, st.r, data) for st in traj]
+    misfits = full_misfits(forward_full, [st.r for st in traj], data)
     j = int(np.argmin(misfits))
     if not math.isfinite(misfits[j]):
         raise ValueError("all anchor candidates evaluated non-finite")
@@ -162,10 +158,13 @@ def greedy_select(pool: np.ndarray, surrogate_map, anchor: np.ndarray,
 
 def local_model_error(surrogate_map, forward_full, samples: np.ndarray) -> float:
     """Mean output-space distance between surrogate and full model over the
-    probe samples.  Costs one full-order solve per sample."""
+    probe samples.  Costs one full-order solve per sample, all in one batch
+    call; a failed solve (non-finite row) makes the error inf."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     y_hat = np.atleast_2d(np.asarray(surrogate_map(samples), dtype=float))
-    y_full = np.array([forward_full(z) for z in samples], dtype=float)
+    y_full = np.asarray(forward_full(samples), dtype=float)
+    if not np.all(np.isfinite(y_full)):
+        return math.inf
     return float(np.mean(np.linalg.norm(y_hat - y_full, axis=1)))
 
 
@@ -194,10 +193,13 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
                  on_cycle=None) -> AdaptiveRecord:
     """Drive the full refinement loop.
 
-    task is duck-typed and supplies the models:
-      surrogate_forward(z) -> output vector      (current surrogate, per point)
-      surrogate_batch(Z) -> (len(Z), p) outputs  (vectorized pool evaluation)
-      full_forward(z, category) -> output vector (full order, ledgered)
+    task is duck-typed and supplies the models, each mapping a (B, n)
+    parameter batch to (B, p) outputs:
+      surrogate_forward(Z)  current surrogate for the inversion steps
+      surrogate_batch(Z)    current surrogate for pools and probes (may
+                            differ from surrogate_forward in the last bits)
+      full_forward(Z, category)  full order, ledgered; a failed solve gives
+                                 a row of NaN
       refine(Z) -> None   solve full model at the rows of Z (category
                           "adaptive-sample"), grow the training set, fine-tune
       inversion_error(z) -> float   optional per-cycle accuracy metric
@@ -213,7 +215,8 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
     Stage failures stop the loop and leave a partial record."""
     rng = np.random.default_rng(rng)
     sigma_omega = (2.0 - alpha**2) * state0.C
-    e_prev = _full_misfit(lambda z: task.full_forward(z, "anchor-scan"), state0.r, data)
+    scan = lambda Z: task.full_forward(Z, "anchor-scan")  # noqa: E731
+    e_prev = full_misfits(scan, state0.r, data)[0]
     record = AdaptiveRecord(e0=e_prev, final_r=state0.r.copy(),
                             final_C=state0.C.copy(), stopped="budget")
     err_metric = getattr(task, "inversion_error", None)
@@ -225,8 +228,7 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
             cfg = UKIConfig(alpha=alpha, r0=state.r, sigma_omega=sigma_omega,
                             sigma_eta=data.noise_cov)
             traj = run_uki(state, task.surrogate_forward, data, cfg, policy.t_steps)
-            anchor = select_anchor(
-                traj, lambda z: task.full_forward(z, "anchor-scan"), data)
+            anchor = select_anchor(traj, scan, data)
         except failures as exc:
             record.stopped = f"error at cycle {t}: {exc}"
             break
@@ -234,13 +236,9 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
         e_m = None
         n_diag = 0
         if n_probe > 0:
-            probe = _gaussian_pool(anchor.r, anchor.C, n_probe, rng)
-            try:
-                e_m = local_model_error(
-                    task.surrogate_batch,
-                    lambda z: task.full_forward(z, "diagnostic"), probe)
-            except SolverError:
-                e_m = math.inf
+            probe = gaussian_pool(anchor.r, anchor.C, n_probe, rng)
+            e_m = local_model_error(
+                task.surrogate_batch, lambda Z: task.full_forward(Z, "diagnostic"), probe)
             n_diag = n_probe
         e_i = err_metric(anchor.r) if err_metric is not None else None
 
@@ -249,7 +247,7 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
         refine_failure = None
         if applied:
             try:
-                pool = _gaussian_pool(anchor.r, anchor.C, policy.k_pool, rng)
+                pool = gaussian_pool(anchor.r, anchor.C, policy.k_pool, rng)
                 chosen = greedy_select(pool, task.surrogate_batch, anchor.r,
                                        policy.q_new, policy.lam)
                 task.refine(chosen)
@@ -279,6 +277,7 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
     return record
 
 
-def _gaussian_pool(r, C, k, rng) -> np.ndarray:
+def gaussian_pool(r, C, k, rng) -> np.ndarray:
+    """k draws from N(r, C)."""
     L = np.linalg.cholesky(C)
     return r + rng.standard_normal((k, r.size)) @ L.T

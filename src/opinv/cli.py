@@ -25,7 +25,7 @@ from .harness import (
 
 _INT_FLAGS = ("grid", "n_modes", "seed", "t_steps", "q_new", "i_max", "k_pool",
               "n_probe", "n_prior", "offline_iters", "online_iters", "p_basis",
-              "encoder_axis", "query_axis", "sensor_axis", "workers")
+              "encoder_axis", "query_axis", "sensor_axis")
 _FLOAT_FLAGS = ("delta", "alpha", "epsilon", "lam", "start_cov")
 
 

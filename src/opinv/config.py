@@ -49,7 +49,6 @@ class RunConfig:
     chi_box: tuple = (0.5, 1.0)  # offline sampling box for the source-location case
     # observation
     sensor_axis: int = 6
-    workers: int | None = None
 
     def __post_init__(self):
         self.hidden = tuple(int(w) for w in self.hidden)
@@ -107,6 +106,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        d = {k: v for k, v in d.items() if k != "workers"}  # retired; never changed a result
         known = {f.name for f in dataclasses.fields(cls)}
         bad = set(d) - known
         if bad:

@@ -21,11 +21,9 @@ steppers up to linear-solver roundoff.
 from __future__ import annotations
 
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,11 +40,12 @@ class SolverError(RuntimeError):
 # discrete operators
 
 
+@lru_cache(maxsize=16)
 def _interior_index(grid: Grid2D):
     """Flat index (into all nodes) of the interior nodes, x-major."""
-    ii, jj = np.meshgrid(np.arange(1, grid.nx - 1), np.arange(1, grid.ny - 1),
-                         indexing="ij")
-    return (ii * grid.ny + jj).ravel()
+    idx = (np.arange(1, grid.nx - 1)[:, None] * grid.ny + np.arange(1, grid.ny - 1)).ravel()
+    idx.flags.writeable = False
+    return idx
 
 
 def dirichlet_laplacian(grid: Grid2D) -> sp.csr_matrix:
@@ -72,17 +71,22 @@ def _weights_1d(n: int, h: float) -> np.ndarray:
     return w
 
 
+def _neumann_stiffness(grid: Grid2D):
+    """(K, D): symmetric zero-flux FV stiffness and diagonal trapezoid mass."""
+    Dx = sp.diags(_weights_1d(grid.nx, grid.hx))
+    Dy = sp.diags(_weights_1d(grid.ny, grid.hy))
+    K = (sp.kron(_stiffness_1d(grid.nx, grid.hx), Dy)
+         + sp.kron(Dx, _stiffness_1d(grid.ny, grid.hy)))
+    return K, sp.kron(Dx, Dy)
+
+
 def neumann_laplacian(grid: Grid2D) -> sp.csr_matrix:
     """Node-centered FV Laplacian with zero-flux walls, acting on all nodes.
 
     Equals the ghost-point 5-point stencil; with D = diag(trapezoid weights)
     it is -D^{-1} K for a symmetric stiffness K, so w.T lap = 0 exactly.
     """
-    Kx = _stiffness_1d(grid.nx, grid.hx)
-    Ky = _stiffness_1d(grid.ny, grid.hy)
-    Dx = sp.diags(_weights_1d(grid.nx, grid.hx))
-    Dy = sp.diags(_weights_1d(grid.ny, grid.hy))
-    K = sp.kron(Kx, Dy) + sp.kron(Dx, Ky)
+    K, _ = _neumann_stiffness(grid)
     winv = 1.0 / grid.trapezoid_weights()
     return (-sp.diags(winv) @ K).tocsr()
 
@@ -149,6 +153,34 @@ class DarcyProblem:
         f[Y > self.edges[1]] = self.levels[2]
         return f.ravel()
 
+    @cached_property
+    def interior_source(self) -> np.ndarray:
+        """Right-hand side of the interior system (walls hold u = 0)."""
+        b = self.source_values()[_interior_index(self.grid)]
+        b.flags.writeable = False
+        return b
+
+
+@lru_cache(maxsize=16)
+def _darcy_pattern(nx: int, ny: int):
+    """CSC structure of the interior 5-point system, built once per grid.
+
+    Returns (indices, indptr, perm): the stencil values, concatenated as
+    centre, east, west, north and south couplings in x-major node order,
+    land in CSC order as ``values[perm]``.
+    """
+    k = np.arange((nx - 2) * (ny - 2)).reshape(nx - 2, ny - 2)
+    rows = np.concatenate([k.ravel(), k[:-1].ravel(), k[1:].ravel(),
+                           k[:, :-1].ravel(), k[:, 1:].ravel()])
+    cols = np.concatenate([k.ravel(), k[1:].ravel(), k[:-1].ravel(),
+                           k[:, 1:].ravel(), k[:, :-1].ravel()])
+    # data 1..nnz tags each entry's position: none is zero, none is summed
+    A = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), shape=(k.size,) * 2)
+    perm = A.data.astype(np.intp) - 1
+    for a in (A.indices, A.indptr, perm):
+        a.flags.writeable = False
+    return A.indices, A.indptr, perm
+
 
 def solve_darcy(problem: DarcyProblem, m: Field) -> Field:
     """Solve the Darcy problem for log-conductivity field m.
@@ -170,44 +202,19 @@ def solve_darcy(problem: DarcyProblem, m: Field) -> Field:
 
     ax = harm(a[:-1, :], a[1:, :])  # face (i,j)-(i+1,j), shape (nx-1, ny)
     ay = harm(a[:, :-1], a[:, 1:])  # face (i,j)-(i,j+1), shape (nx, ny-1)
-
-    nxi, nyi = g.nx - 2, g.ny - 2
-    n_int = nxi * nyi
-    ii, jj = np.meshgrid(np.arange(1, g.nx - 1), np.arange(1, g.ny - 1), indexing="ij")
-    aE = ax[ii, jj] / g.hx**2
-    aW = ax[ii - 1, jj] / g.hx**2
-    aN = ay[ii, jj] / g.hy**2
-    aS = ay[ii, jj - 1] / g.hy**2
-
-    def k(i, j):  # interior flat index
-        return (i - 1) * nyi + (j - 1)
-
-    kk = k(ii, jj).ravel()
-    diag = (aE + aW + aN + aS).ravel()
-    rows = [kk]
-    cols = [kk]
-    vals = [diag]
+    # conductances of the four faces of each interior node, shape (nx-2, ny-2)
+    aE = ax[1:, 1:-1] / g.hx**2
+    aW = ax[:-1, 1:-1] / g.hx**2
+    aN = ay[1:-1, 1:] / g.hy**2
+    aS = ay[1:-1, :-1] / g.hy**2
     # couple to interior neighbors only; boundary neighbors hold u = 0
-    east = ii < g.nx - 2
-    rows.append(k(ii, jj)[east].ravel()); cols.append(k(ii + 1, jj)[east].ravel())
-    vals.append(-aE[east].ravel())
-    west = ii > 1
-    rows.append(k(ii, jj)[west].ravel()); cols.append(k(ii - 1, jj)[west].ravel())
-    vals.append(-aW[west].ravel())
-    north = jj < g.ny - 2
-    rows.append(k(ii, jj)[north].ravel()); cols.append(k(ii, jj + 1)[north].ravel())
-    vals.append(-aN[north].ravel())
-    south = jj > 1
-    rows.append(k(ii, jj)[south].ravel()); cols.append(k(ii, jj - 1)[south].ravel())
-    vals.append(-aS[south].ravel())
-
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_int, n_int),
-    )
-    b = problem.source_values()[_interior_index(g)]
+    vals = np.concatenate([(aE + aW + aN + aS).ravel(), -aE[:-1].ravel(),
+                           -aW[1:].ravel(), -aN[:, :-1].ravel(), -aS[:, 1:].ravel()])
+    indices, indptr, perm = _darcy_pattern(g.nx, g.ny)
+    A = sp.csc_matrix((vals[perm], indices, indptr), shape=(indptr.size - 1,) * 2)
+    b = problem.interior_source
     try:
-        u_int = spla.splu(A.tocsc()).solve(b)
+        u_int = spla.splu(A).solve(b)
     except RuntimeError as err:
         raise SolverError(f"sparse LU failed: {err}") from err
     res = np.linalg.norm(A @ u_int - b) / np.linalg.norm(b)
@@ -227,15 +234,8 @@ def solve_darcy(problem: DarcyProblem, m: Field) -> Field:
 def _neumann_heat_solver(nx: int, ny: int, dt: float):
     """Factorized (D + dt K) for one backward-Euler step with zero-flux walls."""
     g = Grid2D(nx, ny)
-    Kx = _stiffness_1d(nx, g.hx)
-    Ky = _stiffness_1d(ny, g.hy)
-    Dx = sp.diags(_weights_1d(nx, g.hx))
-    Dy = sp.diags(_weights_1d(ny, g.hy))
-    K = sp.kron(Kx, Dy) + sp.kron(Dx, Ky)
-    D = sp.kron(Dx, Dy)
-    lu = spla.splu((D + dt * K).tocsc())
-    w = g.trapezoid_weights()
-    return lu, w
+    K, D = _neumann_stiffness(g)
+    return spla.splu((D + dt * K).tocsc()), g.trapezoid_weights()
 
 
 @lru_cache(maxsize=16)
@@ -269,24 +269,12 @@ def march_heat_neumann(grid: Grid2D, u0: np.ndarray, source_at, dt: float,
     return snaps
 
 
-def march_heat_dirichlet(grid: Grid2D, u0: np.ndarray, source_at, dt: float,
-                         n_steps: int) -> np.ndarray:
-    """Backward-Euler march with zero Dirichlet walls; returns final values.
-
-    ``u0`` holds all nodes; only its interior part enters (walls pinned at 0).
-    """
-    lu = _dirichlet_heat_solver(grid.nx, grid.ny, dt)
-    interior = _interior_index(grid)
-    u = np.asarray(u0, dtype=float).ravel()[interior].copy()
-    for n in range(1, n_steps + 1):
-        rhs = u.copy()
-        s = source_at(n * dt) if source_at is not None else None
-        if s is not None:
-            rhs += dt * np.asarray(s).ravel()[interior]
-        u = lu.solve(rhs)
-    full = np.zeros(grid.n_nodes)
-    full[interior] = u
-    return full
+def _batch_values(m, grid: Grid2D):
+    """(values with one row per field, is_batch) of a Field or a list of them."""
+    fields = m if isinstance(m, list) else [m]
+    if any(f.grid != grid for f in fields):
+        raise ValueError("field grid does not match problem grid")
+    return np.array([f.values for f in fields]), isinstance(m, list)
 
 
 @dataclass(frozen=True)
@@ -355,21 +343,27 @@ class HeatSourceFieldProblem:
         return (self.amplitude * np.sin(X) * np.sin(Y)).ravel()
 
 
-def solve_heat_field(problem: HeatSourceFieldProblem, m: Field,
-                     u0: np.ndarray | None = None) -> Field:
-    """State at t_final for source field m (u0 override for verification)."""
+def solve_heat_field(problem: HeatSourceFieldProblem, m, u0: np.ndarray | None = None):
+    """State at t_final for source field m (u0 override for verification).
+
+    ``m`` may also be a list of Fields, which march together with one
+    multi-column solve per step and return a list of states.  Only the
+    interior part of the initial state enters; the walls hold u = 0.
+    """
     g = problem.grid
-    if m.grid != g:
-        raise ValueError("field grid does not match problem grid")
+    M, batch = _batch_values(m, g)
     dt = problem.t_final / problem.n_steps
-    mv = m.values
-
-    def source_at(t):
-        return math.exp(-t) * mv
-
-    start = problem.initial_values() if u0 is None else u0
-    final = march_heat_dirichlet(g, start, source_at, dt, problem.n_steps)
-    return Field(g, final)
+    lu = _dirichlet_heat_solver(g.nx, g.ny, dt)
+    interior = _interior_index(g)
+    start = problem.initial_values() if u0 is None else np.asarray(u0, dtype=float)
+    u = np.broadcast_to(start[interior], (len(M), interior.size)).T
+    M_int = M[:, interior]
+    for n in range(1, problem.n_steps + 1):
+        u = lu.solve(u + dt * (math.exp(-n * dt) * M_int).T)
+    final = np.zeros(M.shape)
+    final[:, interior] = u.T
+    states = [Field(g, row) for row in final]
+    return states if batch else states[0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +403,23 @@ def _rd_stepper(nx: int, ny: int, kappa: float, dt: float):
     return spla.splu(M_im), M_ex
 
 
-def solve_reaction_diffusion(problem: ReactionDiffusionProblem, m0: Field) -> Field:
-    """Crank-Nicolson march of the initial state m0 to t_final."""
+def solve_reaction_diffusion(problem: ReactionDiffusionProblem, m0):
+    """Crank-Nicolson march of the initial state m0 to t_final.
+
+    ``m0`` may also be a list of Fields, which march together and return a
+    list of states.
+    """
     g = problem.grid
-    if m0.grid != g:
-        raise ValueError("field grid does not match problem grid")
+    M, batch = _batch_values(m0, g)
     n_steps = problem.t_final / problem.dt
     if abs(n_steps - round(n_steps)) > 1e-9:
         raise ValueError("dt must divide t_final")
     lu, M_ex = _rd_stepper(g.nx, g.ny, problem.kappa, problem.dt)
-    u = m0.values.copy()
+    u = M.T.copy()
     for _ in range(int(round(n_steps))):
         u = lu.solve(M_ex @ u)
-    return Field(g, u)
+    states = [Field(g, col) for col in u.T]
+    return states if batch else states[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,41 +450,44 @@ class EvalLedger:
             return sum(self._counts.values())
 
 
-def forward_map(problem, basis: KLBasis | None, zeta, ledger: EvalLedger | None = None,
-                category: str = "forward"):
-    """Full-order parameter-to-state map; one ledger tick per call.
+def _each_row(solve, params) -> list:
+    """Solve one parameter at a time; a failed solve leaves its SolverError."""
+    out = []
+    for p in params:
+        try:
+            out.append(solve(p))
+        except SolverError as err:
+            out.append(err)
+    return out
 
-    For field-valued parameters ``zeta`` holds KL coefficients realized on
-    ``basis``; for the source-location problem ``zeta`` is the center chi
-    itself and ``basis`` is ignored.  Returns the problem's state: a Field,
-    or a tuple of snapshot Fields for the source-location problem.
-    """
+
+def solve_batch(problem, params: list) -> list:
+    """One state per parameter (a Field, or for heat-loc a center chi whose
+    state is a tuple of snapshot Fields).  Darcy and heat-loc solve one at
+    a time, and a failed Darcy solve leaves its SolverError in place of a
+    state; the time-dependent field problems march all together."""
     if isinstance(problem, HeatSourceLocProblem):
-        run = lambda: solve_heat_loc(problem, zeta)  # noqa: E731
-    elif isinstance(problem, DarcyProblem):
-        run = lambda: solve_darcy(problem, sample_field(basis, zeta))  # noqa: E731
-    elif isinstance(problem, HeatSourceFieldProblem):
-        run = lambda: solve_heat_field(problem, sample_field(basis, zeta))  # noqa: E731
-    elif isinstance(problem, ReactionDiffusionProblem):
-        run = lambda: solve_reaction_diffusion(problem, sample_field(basis, zeta))  # noqa: E731
-    else:
-        raise TypeError(f"unknown problem type {type(problem).__name__}")
+        return _each_row(partial(solve_heat_loc, problem), params)
+    if isinstance(problem, DarcyProblem):
+        return _each_row(partial(solve_darcy, problem), params)
+    if isinstance(problem, HeatSourceFieldProblem):
+        return solve_heat_field(problem, list(params))
+    if isinstance(problem, ReactionDiffusionProblem):
+        return solve_reaction_diffusion(problem, list(params))
+    raise TypeError(f"unknown problem type {type(problem).__name__}")
+
+
+def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = None,
+                category: str = "forward") -> list:
+    """Full-order parameter-to-state map on a (B, n) batch: one state per
+    row (see solve_batch) and one ledger tick per row, failed rows included.
+    Rows are KL coefficients realized on ``basis``, one ``z @ W`` per row,
+    or for heat-loc the centers chi themselves (``basis`` is ignored)."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2:
+        raise ValueError(f"parameter batch must be (B, n), got shape {Z.shape}")
     if ledger is not None:
-        ledger.add(category)
-    return run()
-
-
-def parallel_map(fn, items, workers: int | None = None) -> list:
-    """Order-preserving map, threaded when workers > 1.
-
-    Worker count falls back to the OPINV_WORKERS environment variable, then
-    to 1 (sequential).  Results are returned in input order either way, so
-    runs stay reproducible.
-    """
-    if workers is None:
-        workers = int(os.environ.get("OPINV_WORKERS", "1"))
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        ledger.add(category, len(Z))
+    if isinstance(problem, HeatSourceLocProblem):
+        return solve_batch(problem, Z)
+    return solve_batch(problem, [sample_field(basis, z) for z in Z])

@@ -19,6 +19,8 @@ import numpy as np
 from .adaptive import (
     RefinePolicy,
     fem_eval_count,
+    full_misfits,
+    gaussian_pool,
     local_model_error,
     relative_inversion_error,
     run_adaptive,
@@ -40,8 +42,9 @@ from .forward import (
     HeatSourceFieldProblem,
     HeatSourceLocProblem,
     ReactionDiffusionProblem,
+    SolverError,
     forward_map,
-    parallel_map,
+    solve_batch,
 )
 from .grf import Field, Grid2D, build_kl_basis, draw_uniform, sample_field, write_field_bin
 from .lintheory import LinearModel, verify_error_bound
@@ -118,20 +121,10 @@ class Bench:
         truth_param, m_ref = make_truth(cfg, self.grid)
         self.truth_param = truth_param
         self.m_ref = m_ref  # Field, or None for heat-loc (truth_param is chi)
-        self.truth_state = self._solve_truth()
+        truth = self.truth_param if self.is_loc else m_ref
+        (self.truth_state,) = _solved(solve_batch(self.problem, [truth]))
         y_ref = self.readings(self.truth_state)
         self.data = synthesize_data(y_ref, cfg.delta, rng=cfg.rng("noise"))
-
-    def _solve_truth(self):
-        from .forward import (solve_darcy, solve_heat_field, solve_heat_loc,
-                              solve_reaction_diffusion)
-        if self.is_loc:
-            return solve_heat_loc(self.problem, self.truth_param)
-        if self.cfg.problem == "darcy":
-            return solve_darcy(self.problem, self.m_ref)
-        if self.cfg.problem == "heat-field":
-            return solve_heat_field(self.problem, self.m_ref)
-        return solve_reaction_diffusion(self.problem, self.m_ref)
 
     def _time_tagged(self, sensors: SensorArray) -> np.ndarray:
         """Trunk coordinates: (x, y) or, for snapshot problems, (x, y, t)
@@ -144,7 +137,7 @@ class Bench:
                 [sensors.locations, np.full(len(sensors.locations), t)]))
         return np.vstack(rows)
 
-    # -- extraction from a solved state ------------------------------------
+    # -- extraction from a solved state or a list of them -------------------
 
     def readings(self, state) -> np.ndarray:
         if self.is_loc:
@@ -184,27 +177,48 @@ class Bench:
             r0 = self.cfg.rng("init").standard_normal(n)
         return GaussianState(r0, self.cfg.start_cov * np.eye(n))
 
-    def full_forward(self, z, ledger=None, category="forward") -> np.ndarray:
-        return self.readings(forward_map(self.problem, self.basis, z,
-                                         ledger, category))
+    def full_forward(self, Z, ledger=None, category="forward") -> np.ndarray:
+        """Full-order readings, one row per row of Z.  A row whose solve
+        failed reads NaN: UKI truncates on it, the anchor scan scores it inf."""
+        states = forward_map(self.problem, self.basis, Z, ledger, category)
+        ok = [i for i, s in enumerate(states) if not isinstance(s, SolverError)]
+        Y = np.full((len(states), self.data.n_obs), np.nan)
+        if ok:
+            Y[ok] = self.readings([states[i] for i in ok])
+        return Y
+
+    def full_targets(self, Z, ledger, category) -> np.ndarray:
+        """Full-order training targets, one row per row of Z; raises the
+        first SolverError, so no NaN target enters a training set."""
+        return self.targets(_solved(forward_map(self.problem, self.basis, Z, ledger,
+                                                category)))
+
+
+def _solved(states: list) -> list:
+    """The states of a batch that must all succeed; raises the first failure."""
+    for s in states:
+        if isinstance(s, SolverError):
+            raise s
+    return states
 
 
 # ---------------------------------------------------------------------------
 # offline surrogate training
 
 
+def draw_prior_params(cfg: RunConfig, n: int) -> np.ndarray:
+    """n draws from the "prior" stream: source centers uniform on chi_box
+    for heat-loc, standard-normal KL coefficients otherwise."""
+    rng = cfg.rng("prior")
+    if cfg.problem == "heat-loc":
+        return rng.uniform(*cfg.chi_box, size=(n, 2))
+    return rng.standard_normal((n, cfg.n_modes))
+
+
 def offline_train(cfg: RunConfig, bench: Bench, ledger: EvalLedger):
     """Draw prior samples, solve the full model for each, train the net."""
-    rng_prior = cfg.rng("prior")
-    if bench.is_loc:
-        lo, hi = cfg.chi_box
-        params = rng_prior.uniform(lo, hi, size=(cfg.n_prior, 2))
-    else:
-        params = rng_prior.standard_normal((cfg.n_prior, cfg.n_modes))
-    states = parallel_map(
-        lambda z: forward_map(bench.problem, bench.basis, z, ledger, "offline"),
-        params, cfg.workers)
-    targets = np.array([bench.targets(s) for s in states])
+    params = draw_prior_params(cfg, cfg.n_prior)
+    targets = bench.full_targets(params, ledger, "offline")
     dataset = TrainingSet(bench.encode(params), targets, bench.query_pts,
                           ["prior"] * cfg.n_prior, zetas=params)
 
@@ -223,33 +237,30 @@ class InversionTask:
     """Adapter between one Bench + Surrogate pair and the refinement loop."""
 
     def __init__(self, bench: Bench, surrogate: Surrogate, dataset: TrainingSet,
-                 ledger: EvalLedger, online_iters: int, workers=None):
+                 ledger: EvalLedger, online_iters: int):
         self.bench = bench
         self.surrogate = surrogate
         self.dataset = dataset
         self.ledger = ledger
         self.online_iters = online_iters
-        self.workers = workers
 
     def surrogate_batch(self, Z) -> np.ndarray:
         return self.surrogate.eval(self.bench.encode(Z), self.bench.sensor_queries)
 
-    def surrogate_forward(self, z) -> np.ndarray:
-        return self.surrogate_batch(np.atleast_2d(z))[0]
+    def surrogate_forward(self, Z) -> np.ndarray:
+        """Surrogate outputs for the inversion steps, one row per call: a call
+        on all rows rounds differently, which the refinement loop amplifies."""
+        return np.array([self.surrogate_batch(z[None])[0] for z in Z])
 
-    def full_forward(self, z, category) -> np.ndarray:
-        return self.bench.full_forward(z, self.ledger, category)
+    def full_forward(self, Z, category) -> np.ndarray:
+        return self.bench.full_forward(Z, self.ledger, category)
 
     def inversion_error(self, z):
         return self.bench.inversion_error(z)
 
     def refine(self, Z) -> None:
-        states = parallel_map(
-            lambda z: forward_map(self.bench.problem, self.bench.basis, z,
-                                  self.ledger, "adaptive-sample"),
-            Z, self.workers)
         new = TrainingSet(self.bench.encode(Z),
-                          np.array([self.bench.targets(s) for s in states]),
+                          self.bench.full_targets(Z, self.ledger, "adaptive-sample"),
                           self.bench.query_pts, ["adaptive"] * len(Z), zetas=np.asarray(Z))
         self.dataset = self.dataset.extend(new)
         fine_tune(self.surrogate, self.dataset, self.online_iters)
@@ -328,16 +339,20 @@ def _finish(record: RunRecord, state, ledger: EvalLedger, wall: float) -> None:
     record.timings["invert_s"] = wall
 
 
-def run_fem_mode(cfg: RunConfig, bench: Bench, ledger: EvalLedger) -> RunRecord:
-    record = _base_record(cfg, "fem-uki")
+def run_plain_mode(cfg: RunConfig, bench: Bench, ledger: EvalLedger, mode: str,
+                   forward_batch) -> RunRecord:
+    """Sigma-point inversion for cfg.t_steps steps against one fixed forward
+    map ``forward_batch(P) -> Y``: the full-order model for fem-uki, the
+    offline surrogate for deeponet-direct.  A surrogate run also reports its
+    local model error over cfg.n_probe draws from the final Gaussian."""
+    record = _base_record(cfg, mode)
     state0 = bench.initial_state()
     ukicfg = UKIConfig(alpha=cfg.alpha, r0=state0.r,
                        sigma_omega=(2.0 - cfg.alpha**2) * state0.C,
                        sigma_eta=bench.data.noise_cov)
     centers = []
     t0 = time.perf_counter()
-    traj = run_uki(state0, lambda z: bench.full_forward(z, ledger, "fem-uki"),
-                   bench.data, ukicfg, cfg.t_steps,
+    traj = run_uki(state0, forward_batch, bench.data, ukicfg, cfg.t_steps,
                    on_step=lambda k, st, yc: centers.append(yc))
     wall = time.perf_counter() - t0
     # the center sigma point gives a free per-step misfit series
@@ -345,40 +360,16 @@ def run_fem_mode(cfg: RunConfig, bench: Bench, ledger: EvalLedger) -> RunRecord:
         record.series.append(_series_row(
             k, e_d=misfit(yc, bench.data), e_i=bench.inversion_error(st.r)))
     final = traj[-1] if traj else state0
-    e_d_final = misfit(bench.full_forward(final.r, ledger, "diagnostic"), bench.data)
-    record.extras = {"final_e_d": e_d_final, "cycles_used": len(traj),
-                     "n_dim": cfg.n_dim}
-    _finish(record, final, ledger, wall)
-    return record
 
-
-def run_direct_mode(cfg: RunConfig, bench: Bench, surrogate: Surrogate,
-                    ledger: EvalLedger) -> RunRecord:
-    record = _base_record(cfg, "deeponet-direct")
-    task = InversionTask(bench, surrogate, None, ledger, 0)
-    state0 = bench.initial_state()
-    ukicfg = UKIConfig(alpha=cfg.alpha, r0=state0.r,
-                       sigma_omega=(2.0 - cfg.alpha**2) * state0.C,
-                       sigma_eta=bench.data.noise_cov)
-    centers = []
-    t0 = time.perf_counter()
-    traj = run_uki(state0, task.surrogate_forward, bench.data, ukicfg,
-                   cfg.t_steps, on_step=lambda k, st, yc: centers.append(yc))
-    wall = time.perf_counter() - t0
-    for k, (st, yc) in enumerate(zip(traj, centers)):
-        record.series.append(_series_row(
-            k, e_d=misfit(yc, bench.data), e_i=bench.inversion_error(st.r)))
-    final = traj[-1] if traj else state0
-    e_d_final = misfit(bench.full_forward(final.r, ledger, "diagnostic"), bench.data)
-    e_m_final = None
-    if cfg.n_probe > 0:
-        probe = final.r + cfg.rng("pool").standard_normal(
-            (cfg.n_probe, cfg.n_dim)) @ np.linalg.cholesky(final.C).T
-        e_m_final = local_model_error(
-            task.surrogate_batch,
-            lambda z: bench.full_forward(z, ledger, "diagnostic"), probe)
-    record.extras = {"final_e_d": e_d_final, "final_e_m": e_m_final,
+    diagnostic = lambda Z: bench.full_forward(Z, ledger, "diagnostic")  # noqa: E731
+    record.extras = {"final_e_d": full_misfits(diagnostic, final.r, bench.data)[0],
                      "cycles_used": len(traj), "n_dim": cfg.n_dim}
+    if mode == "deeponet-direct":
+        e_m_final = None
+        if cfg.n_probe > 0:
+            probe = gaussian_pool(final.r, final.C, cfg.n_probe, cfg.rng("pool"))
+            e_m_final = local_model_error(forward_batch, diagnostic, probe)
+        record.extras["final_e_m"] = e_m_final
     _finish(record, final, ledger, wall)
     return record
 
@@ -386,8 +377,7 @@ def run_direct_mode(cfg: RunConfig, bench: Bench, surrogate: Surrogate,
 def run_adaptive_mode(cfg: RunConfig, bench: Bench, surrogate: Surrogate,
                       dataset: TrainingSet, ledger: EvalLedger) -> RunRecord:
     record = _base_record(cfg, "deeponet-adaptive")
-    task = InversionTask(bench, surrogate, dataset, ledger, cfg.online_iters,
-                         workers=cfg.workers)
+    task = InversionTask(bench, surrogate, dataset, ledger, cfg.online_iters)
     state0 = bench.initial_state()
     policy = RefinePolicy(epsilon=cfg.epsilon, i_max=cfg.i_max,
                           t_steps=cfg.t_steps, q_new=cfg.q_new,
@@ -475,14 +465,16 @@ def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
     bench = Bench(cfg)
     ledger = EvalLedger()
     if cfg.mode == "fem-uki":
-        record = run_fem_mode(cfg, bench, ledger)
+        record = run_plain_mode(cfg, bench, ledger, cfg.mode,
+                                lambda P: bench.full_forward(P, ledger, "fem-uki"))
         surrogate = None
     else:
         if checkpoint is None:
             raise ValueError(f"mode {cfg.mode} requires a checkpoint")
         surrogate, dataset = _load_checkpoint(cfg, checkpoint)
         if cfg.mode == "deeponet-direct":
-            record = run_direct_mode(cfg, bench, surrogate, ledger)
+            task = InversionTask(bench, surrogate, None, ledger, 0)
+            record = run_plain_mode(cfg, bench, ledger, cfg.mode, task.surrogate_forward)
         else:
             if dataset is None:
                 raise ValueError("adaptive mode needs dataset.npz next to the checkpoint")
@@ -629,12 +621,7 @@ def cmd_sample_prior(cfg: RunConfig, n: int = 4, out_dir=None) -> str:
     cfg = cfg.resolved()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = cfg.rng("prior")
-    if cfg.problem == "heat-loc":
-        lo, hi = cfg.chi_box
-        params = rng.uniform(lo, hi, size=(n, 2))
-    else:
-        params = rng.standard_normal((n, cfg.n_modes))
+    params = draw_prior_params(cfg, n)
     np.savetxt(out / "params.csv", params, delimiter=",", fmt="%.17g")
     if cfg.problem != "heat-loc":
         grid = Grid2D(cfg.grid, cfg.grid)

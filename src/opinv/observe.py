@@ -48,27 +48,34 @@ def lattice_sensors(per_axis: int) -> SensorArray:
 
 
 def observe(f, sensors: SensorArray) -> np.ndarray:
-    """Bilinear read-out of a Field at the sensor locations."""
-    g = f.grid
-    u = f.as_matrix()
+    """Bilinear read-out of a Field at the sensor locations; a list of Fields
+    on one grid reads as a batch, one row per Field, by the same formula."""
+    batch = isinstance(f, list)
+    fields = f if batch else [f]
+    g = fields[0].grid
+    u = np.array([h.as_matrix() for h in fields])
     x = sensors.locations[:, 0]
     y = sensors.locations[:, 1]
     ix = np.minimum((x / g.hx).astype(int), g.nx - 2)
     iy = np.minimum((y / g.hy).astype(int), g.ny - 2)
     tx = x / g.hx - ix
     ty = y / g.hy - iy
-    return ((1 - tx) * (1 - ty) * u[ix, iy]
-            + tx * (1 - ty) * u[ix + 1, iy]
-            + (1 - tx) * ty * u[ix, iy + 1]
-            + tx * ty * u[ix + 1, iy + 1])
+    out = ((1 - tx) * (1 - ty) * u[:, ix, iy]
+           + tx * (1 - ty) * u[:, ix + 1, iy]
+           + (1 - tx) * ty * u[:, ix, iy + 1]
+           + tx * ty * u[:, ix + 1, iy + 1])
+    return out if batch else out[0]
 
 
 def observe_state(state, sensors: SensorArray) -> np.ndarray:
     """Observation vector of a solver state: a Field or a tuple of snapshots.
 
     Snapshot tuples concatenate in time order, so a two-time problem with s
-    sensors yields 2 s readings.
+    sensors yields 2 s readings.  A list of states reads as a batch, one row
+    per state.
     """
+    if isinstance(state, list) and isinstance(state[0], tuple):
+        return np.hstack([observe(list(snaps), sensors) for snaps in zip(*state)])
     if isinstance(state, tuple):
         return np.concatenate([observe(f, sensors) for f in state])
     return observe(state, sensors)

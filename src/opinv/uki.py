@@ -8,9 +8,9 @@ data y with noise covariance Sigma_eta:
                 C_hat = alpha^2 C + Sigma_omega
 2. sigma points m^0 = r_hat and m^{+-j} = r_hat +- c L_j for the columns
    L_j of the lower Cholesky factor of C_hat
-3. push every point through the forward map, build the cross and output
-   covariances from the off-center points with common weight w, and add
-   Sigma_eta to the output covariance
+3. push all 2 n + 1 points through the forward map in one batch call,
+   build the cross and output covariances from the off-center points with
+   common weight w, and add Sigma_eta to the output covariance
 4. Kalman update of (r, C).
 
 The weights follow the modified unscented transform with kappa = 0 and
@@ -122,10 +122,12 @@ def _predict(state: GaussianState, cfg: UKIConfig) -> GaussianState:
     return GaussianState(r_hat, C_hat)
 
 
-def _step_with_center(state: GaussianState, forward, data, cfg: UKIConfig):
+def _step_with_center(state: GaussianState, forward_batch, data, cfg: UKIConfig):
     pred = _predict(state, cfg)
     ens = sigma_points(pred)
-    Y = np.asarray([np.asarray(forward(p), dtype=float).ravel() for p in ens.points])
+    Y = np.asarray(forward_batch(ens.points), dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != len(ens.points):
+        raise ValueError(f"forward_batch gave shape {Y.shape}; need one row per sigma point")
     if not np.all(np.isfinite(Y)):
         bad = int(np.flatnonzero(~np.isfinite(Y).all(axis=1))[0])
         raise UkiError(f"non-finite forward output at sigma point {bad}")
@@ -147,30 +149,32 @@ def _step_with_center(state: GaussianState, forward, data, cfg: UKIConfig):
     return GaussianState(r_new, C_new), y_hat
 
 
-def uki_step(state: GaussianState, forward, data, cfg: UKIConfig) -> GaussianState:
+def uki_step(state: GaussianState, forward_batch, data, cfg: UKIConfig) -> GaussianState:
     """One prediction / update cycle.
 
-    ``forward`` maps a parameter vector to an observation vector; it is
-    called once per sigma point (2 n + 1 times).  ``data`` provides y_obs.
+    ``forward_batch`` maps the (2 n + 1, n) sigma points to a (2 n + 1, p)
+    array of observation vectors, one row per point; it is called once.
+    ``data`` provides y_obs.
     """
-    new_state, _ = _step_with_center(state, forward, data, cfg)
+    new_state, _ = _step_with_center(state, forward_batch, data, cfg)
     return new_state
 
 
-def run_uki(state: GaussianState, forward, data, cfg: UKIConfig, n_steps: int,
+def run_uki(state: GaussianState, forward_batch, data, cfg: UKIConfig, n_steps: int,
             on_step=None) -> list[GaussianState]:
-    """Iterate uki_step n_steps times; returns the post-update trajectory.
+    """Iterate uki_step n_steps times, one ``forward_batch`` call per step;
+    returns the post-update trajectory.
 
-    A failed step (non-finite forward values, covariance breakdown) truncates
-    the trajectory with a warning rather than raising, since surrogate-driven
-    runs can blow up legitimately.  ``on_step(k, state, y_center)`` is called
-    after each successful step with the 1-based step index and the center
-    sigma-point prediction, letting callers log fitting errors for free.
+    A failed step (a non-finite output row from a failed full-order solve or
+    a surrogate blow-up, or a covariance breakdown) truncates the trajectory
+    with a warning rather than raising.  ``on_step(k, state, y_center)`` is
+    called after each successful step with the 1-based step index and the
+    center sigma-point prediction, letting callers log fitting errors for free.
     """
     traj: list[GaussianState] = []
     for k in range(1, n_steps + 1):
         try:
-            state, y_center = _step_with_center(state, forward, data, cfg)
+            state, y_center = _step_with_center(state, forward_batch, data, cfg)
         except UkiError as err:
             warnings.warn(f"inversion stopped at step {k}: {err}", stacklevel=2)
             break

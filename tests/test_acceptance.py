@@ -79,7 +79,7 @@ def test_criterion_1_unscented_exact_on_affine_models():
 
         cfg = UKIConfig(alpha, r0, sigma_omega, sigma_eta)
         data = ObservationData(y_obs, sigma_eta, 0.05)
-        got = uki_step(state, lambda z: A @ z + b, data, cfg)
+        got = uki_step(state, lambda Z: Z @ A.T + b, data, cfg)
 
         # affine map folds into the linear oracle by shifting the data
         model = LinearModel(G=A, y=y_obs - b, alpha=alpha, r0=r0,
@@ -108,7 +108,7 @@ def test_criterion_2_scalar_fixed_point():
     cfg = UKIConfig(1.0, np.zeros(1), np.eye(1), np.eye(1))
     data = ObservationData(np.array([y]), np.eye(1), 0.0)
     traj = run_uki(GaussianState(np.zeros(1), np.eye(1)),
-                   lambda z: z.copy(), data, cfg, 100)
+                   lambda Z: Z.copy(), data, cfg, 100)
     final = traj[-1]
     err_traj = max(abs(final.r[0] - fp.r[0]), abs(final.C[0, 0] - fp.C[0, 0]))
 

@@ -16,7 +16,6 @@ from opinv.adaptive import (
     speedup,
 )
 from opinv.deeponet import TrainingError
-from opinv.forward import SolverError
 from opinv.grf import Field, Grid2D
 from opinv.observe import ObservationData, misfit
 from opinv.uki import GaussianState, UKIConfig, run_uki
@@ -29,7 +28,7 @@ def obs_data(y, var=1.0):
 
 class LinearTask:
     """Full model G z; surrogate adds a constant output bias that each
-    refinement shrinks by a fixed factor."""
+    refinement shrinks by a fixed factor.  Every model maps a batch of rows."""
 
     def __init__(self, G, bias=0.0, decay=0.5):
         self.G = np.asarray(G, dtype=float)
@@ -38,19 +37,18 @@ class LinearTask:
         self.calls = {"anchor-scan": 0, "adaptive-sample": 0, "diagnostic": 0}
         self.refine_count = 0
 
-    def surrogate_forward(self, z):
-        return self.G @ z + self.bias
+    def surrogate_forward(self, Z):
+        return Z @ self.G.T + self.bias
 
     def surrogate_batch(self, Z):
         return Z @ self.G.T + self.bias
 
-    def full_forward(self, z, category):
-        self.calls[category] += 1
-        return self.G @ z
+    def full_forward(self, Z, category):
+        self.calls[category] += len(Z)
+        return Z @ self.G.T
 
     def refine(self, Z):
-        for z in Z:
-            self.full_forward(z, "adaptive-sample")
+        self.full_forward(Z, "adaptive-sample")
         self.refine_count += 1
         self.bias *= self.decay
 
@@ -106,17 +104,16 @@ def test_select_anchor_tie_breaks_to_earliest():
 
 
 def test_select_anchor_skips_invalid_states():
-    def fwd(z):
-        if z[0] > 2.0:
-            raise SolverError("blow-up")
-        return z
+    def fwd(Z):
+        # a failed full-order solve reads as a row of NaN
+        return np.where(Z > 2.0, np.nan, Z)
 
     traj = states_with_misfits([9.0, 1.0])  # z values ~ [4.24, 1.41]
     rec = select_anchor(traj, fwd, obs_data([0.0]))
     assert rec.step_index == 2
     assert rec.misfits[0] == math.inf
 
-    nanfwd = lambda z: np.full(1, np.nan)
+    nanfwd = lambda Z: np.full((len(Z), 1), np.nan)
     with pytest.raises(ValueError):
         select_anchor(traj, nanfwd, obs_data([0.0]))
     with pytest.raises(ValueError):
@@ -193,19 +190,25 @@ def test_greedy_validation():
 def test_local_model_error_exact_surrogate_is_zero():
     samples = np.random.default_rng(1).standard_normal((6, 2))
     G = np.array([[1.0, 2.0], [0.0, 1.0]])
-    err = local_model_error(lambda Z: Z @ G.T, lambda z: G @ z, samples)
+    err = local_model_error(lambda Z: Z @ G.T, lambda Z: Z @ G.T, samples)
     assert err == 0.0
 
 
 def test_local_model_error_constant_offset():
     samples = np.zeros((4, 2))
     err = local_model_error(lambda Z: np.tile([3.0, 4.0], (len(Z), 1)),
-                            lambda z: np.zeros(2), samples)
+                            lambda Z: np.zeros((len(Z), 2)), samples)
     assert err == pytest.approx(5.0, rel=1e-14)
 
 
+def test_local_model_error_is_inf_when_a_full_solve_fails():
+    samples = np.zeros((3, 2))
+    full = lambda Z: np.array([[0.0, 1.0], [np.nan, np.nan], [1.0, 0.0]])
+    assert local_model_error(lambda Z: np.zeros((len(Z), 2)), full, samples) == math.inf
+
+
 def test_local_model_error_single_sample():
-    err = local_model_error(lambda Z: np.ones((1, 3)), lambda z: np.zeros(3),
+    err = local_model_error(lambda Z: np.ones((1, 3)), lambda Z: np.zeros((1, 3)),
                             np.zeros((1, 2)))
     assert err == pytest.approx(math.sqrt(3.0), rel=1e-14)
 
@@ -249,7 +252,7 @@ def test_single_cycle_matches_plain_inversion():
 
     cfg = UKIConfig(alpha=1.0, r0=state0.r, sigma_omega=state0.C,
                     sigma_eta=data.noise_cov)
-    traj = run_uki(state0, lambda z: G @ z, data, cfg, 6)
+    traj = run_uki(state0, lambda Z: Z @ G.T, data, cfg, 6)
     scan = [misfit(G @ st.r, data) for st in traj]
     j = int(np.argmin(scan))
 
@@ -346,7 +349,7 @@ def test_failed_fine_tune_leaves_partial_record():
 def test_dead_surrogate_yields_empty_partial_record():
     G, _, data, state0 = loop_fixture(seed=19)
     task = LinearTask(G)
-    task.surrogate_forward = lambda z: np.full(3, np.nan)
+    task.surrogate_forward = lambda Z: np.full((len(Z), 3), np.nan)
     policy = RefinePolicy(epsilon=0.01, i_max=3, t_steps=3, q_new=2, k_pool=10)
     with pytest.warns(UserWarning):
         record = run_adaptive(task, data, state0, policy, alpha=1.0, rng=6)

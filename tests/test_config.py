@@ -63,10 +63,18 @@ def test_n_dim_property():
 
 def test_roundtrip_dict():
     cfg = RunConfig(problem="reaction-diffusion", hidden=(8, 9), chi_box=(0.1, 0.4),
-                    seed=99, workers=2).resolved()
+                    seed=99).resolved()
     clone = RunConfig.from_dict(cfg.to_dict())
     assert clone == cfg
     assert isinstance(clone.hidden, tuple)
+
+
+def test_from_dict_loads_a_config_with_the_retired_workers_field():
+    # files written before the thread-pool knob was deleted carry it as null
+    d = RunConfig(seed=5).to_dict()
+    d["workers"] = None
+    assert RunConfig.from_dict(d) == RunConfig(seed=5)
+    assert "workers" not in RunConfig.from_dict(d).to_dict()
 
 
 def test_from_dict_rejects_unknown_keys():

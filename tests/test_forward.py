@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from opinv.forward import (
     DarcyProblem,
@@ -15,7 +17,6 @@ from opinv.forward import (
     forward_map,
     march_heat_neumann,
     neumann_laplacian,
-    parallel_map,
     solve_darcy,
     solve_heat_field,
     solve_heat_loc,
@@ -139,6 +140,43 @@ def test_darcy_rejects_overflowing_coefficient():
     g = Grid2D(8, 8)
     with pytest.raises(SolverError):
         solve_darcy(DarcyProblem(g), Field(g, np.full(64, 800.0)))
+
+
+def _darcy_by_coo_assembly(problem, m):
+    """Reference solve: the stencil assembled as COO triplets, converted
+    CSR -> CSC and factorized, the way the solver first did it."""
+    g = problem.grid
+    a = np.exp(m.as_matrix())
+    ax = 2.0 * a[:-1, :] * a[1:, :] / (a[:-1, :] + a[1:, :])
+    ay = 2.0 * a[:, :-1] * a[:, 1:] / (a[:, :-1] + a[:, 1:])
+    nxi, nyi = g.nx - 2, g.ny - 2
+    ii, jj = np.meshgrid(np.arange(1, g.nx - 1), np.arange(1, g.ny - 1), indexing="ij")
+    aE, aW = ax[ii, jj] / g.hx**2, ax[ii - 1, jj] / g.hx**2
+    aN, aS = ay[ii, jj] / g.hy**2, ay[ii, jj - 1] / g.hy**2
+
+    def k(i, j):
+        return (i - 1) * nyi + (j - 1)
+
+    rows, cols, vals = [k(ii, jj).ravel()], [k(ii, jj).ravel()], [(aE + aW + aN + aS).ravel()]
+    for mask, di, dj, c in ((ii < g.nx - 2, 1, 0, aE), (ii > 1, -1, 0, aW),
+                            (jj < g.ny - 2, 0, 1, aN), (jj > 1, 0, -1, aS)):
+        rows.append(k(ii, jj)[mask])
+        cols.append(k(ii + di, jj + dj)[mask])
+        vals.append(-c[mask])
+    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(nxi * nyi, nxi * nyi))
+    interior = (ii * g.ny + jj).ravel()
+    u = np.zeros(g.n_nodes)
+    u[interior] = spla.splu(A.tocsc()).solve(problem.source_values()[interior])
+    return u
+
+
+def test_darcy_solve_is_bit_identical_to_coo_assembly():
+    for n, seed in ((9, 0), (13, 1), (24, 2)):
+        g = Grid2D(n, n + 3)
+        m = sample_field(build_kl_basis(g, 16), 2.0 * draw_prior(16, seed))
+        want = _darcy_by_coo_assembly(DarcyProblem(g), m)
+        assert np.array_equal(solve_darcy(DarcyProblem(g), m).values, want)
 
 
 def test_darcy_grid_mismatch():
@@ -286,37 +324,64 @@ def test_rd_rejects_nondividing_dt():
 def test_forward_map_dispatch_and_ledger():
     g = Grid2D(10, 10)
     basis = build_kl_basis(g, 8)
-    z = draw_prior(8, 3)
+    Z = np.array([draw_prior(8, s) for s in (3, 4, 5)])
     led = EvalLedger()
-    u = forward_map(DarcyProblem(g), basis, z, ledger=led, category="offline")
+    (u,) = forward_map(DarcyProblem(g), basis, Z[:1], ledger=led, category="offline")
     assert isinstance(u, Field)
-    pair = forward_map(HeatSourceLocProblem(g, n_steps=20), None, (0.3, 0.4),
-                       ledger=led, category="offline")
-    assert len(pair) == 2
-    forward_map(HeatSourceFieldProblem(g, n_steps=10), basis, z, ledger=led, category="anchor")
-    forward_map(ReactionDiffusionProblem(g), basis, z, ledger=led, category="anchor")
-    assert led.counts == {"offline": 2, "anchor": 2}
-    assert led.total() == 4
+    pairs = forward_map(HeatSourceLocProblem(g, n_steps=20), None,
+                        [(0.3, 0.4), (0.5, 0.5)], ledger=led, category="offline")
+    assert len(pairs) == 2 and all(len(p) == 2 for p in pairs)
+    forward_map(HeatSourceFieldProblem(g, n_steps=10), basis, Z, ledger=led, category="anchor")
+    forward_map(ReactionDiffusionProblem(g), basis, Z, ledger=led, category="anchor")
+    assert led.counts == {"offline": 3, "anchor": 6}
+    assert led.total() == 9
+
+
+def _max_rel_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 def test_forward_map_matches_direct_solver():
+    # Darcy and heat-loc solve row by row: bit-identical to single solves.
+    # heat-field and reaction-diffusion march the batch with multi-column
+    # solves, which may round differently.
+    g = Grid2D(12, 12)
+    basis = build_kl_basis(g, 8)
+    Z = np.array([draw_prior(8, s) for s in range(5)])
+    fields = [sample_field(basis, z) for z in Z]
+
+    p = DarcyProblem(g)
+    for got, m in zip(forward_map(p, basis, Z), fields):
+        assert np.array_equal(got.values, solve_darcy(p, m).values)
+    p = HeatSourceLocProblem(g, n_steps=20)
+    chis = np.array([(0.3, 0.4), (0.7, 0.2), (0.5, 0.5)])
+    for got, chi in zip(forward_map(p, None, chis), chis):
+        for a, b in zip(got, solve_heat_loc(p, chi)):
+            assert np.array_equal(a.values, b.values)
+    for p, solve in ((HeatSourceFieldProblem(g, n_steps=10), solve_heat_field),
+                     (ReactionDiffusionProblem(g), solve_reaction_diffusion)):
+        for got, m in zip(forward_map(p, basis, Z), fields):
+            assert _max_rel_gap(got.values, solve(p, m).values) <= 1e-12
+
+
+def test_forward_map_keeps_a_failed_darcy_row_in_place():
     g = Grid2D(10, 10)
     basis = build_kl_basis(g, 8)
-    z = draw_prior(8, 9)
-    via_map = forward_map(DarcyProblem(g), basis, z)
-    direct = solve_darcy(DarcyProblem(g), sample_field(basis, z))
-    assert np.array_equal(via_map.values, direct.values)
+    Z = np.array([draw_prior(8, 1), np.full(8, 1e4), draw_prior(8, 2)])  # row 1 overflows
+    led = EvalLedger()
+    states = forward_map(DarcyProblem(g), basis, Z, led, "fem-uki")
+    assert isinstance(states[1], SolverError)
+    for i in (0, 2):
+        want = solve_darcy(DarcyProblem(g), sample_field(basis, Z[i]))
+        assert np.array_equal(states[i].values, want.values)
+    assert led.counts == {"fem-uki": 3}  # every row attempted and counted
 
 
 def test_forward_map_rejects_unknown_problem():
     with pytest.raises(TypeError):
-        forward_map(object(), None, np.zeros(2))
-
-
-def test_parallel_map_is_order_preserving():
-    xs = list(range(20))
-    assert parallel_map(lambda v: v * v, xs, workers=4) == [v * v for v in xs]
-    assert parallel_map(lambda v: v * v, xs, workers=1) == [v * v for v in xs]
+        forward_map(object(), build_kl_basis(Grid2D(4, 4), 2), np.zeros((1, 2)))
+    with pytest.raises(ValueError):
+        forward_map(HeatSourceLocProblem(Grid2D(6, 6)), None, np.zeros(2))
 
 
 def test_ledger_thread_safety():

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from opinv import harness
+from opinv.adaptive import local_model_error, select_anchor
 from opinv.config import RunConfig, preset
 from opinv.deeponet import TrainingSet, encoder_indices
 from opinv.forward import (
@@ -12,11 +14,13 @@ from opinv.forward import (
     HeatSourceFieldProblem,
     HeatSourceLocProblem,
     ReactionDiffusionProblem,
+    SolverError,
 )
 from opinv.grf import Grid2D, build_kl_basis, sample_field
 from opinv.harness import CHI_TRUE, Bench, make_truth
 from opinv.lintheory import LinearModel, solve_fixed_point
 from opinv.observe import observe
+from opinv.uki import GaussianState
 
 
 def tiny_cfg(**over):
@@ -183,7 +187,9 @@ def test_training_set_roundtrip(tmp_path, trained):
 
 @pytest.fixture(scope="module")
 def fem_record(bench):
-    return harness.run_fem_mode(bench.cfg, bench, EvalLedger())
+    ledger = EvalLedger()
+    return harness.run_plain_mode(bench.cfg, bench, ledger, "fem-uki",
+                                  lambda P: bench.full_forward(P, ledger, "fem-uki"))
 
 
 def test_fem_mode_eval_budget(bench, fem_record):
@@ -213,7 +219,9 @@ def _clone(s):
 def test_direct_mode_uses_no_full_solves(bench, trained):
     s, _, _ = trained
     ledger = EvalLedger()
-    rec = harness.run_direct_mode(bench.cfg, bench, _clone(s), ledger)
+    task = harness.InversionTask(bench, _clone(s), None, ledger, 0)
+    rec = harness.run_plain_mode(bench.cfg, bench, ledger, "deeponet-direct",
+                                 task.surrogate_forward)
     counts = dict(rec.counts)
     counts.pop("total")
     diag = counts.pop("diagnostic")
@@ -232,6 +240,43 @@ def test_adaptive_mode_budget_and_series(bench, trained):
     assert rec.stopped in ("budget", "stall")
     assert [row["cycle"] for row in rec.series] == list(range(len(rec.series)))
     assert rec.extras["cycles_used"] == len(rec.series)
+
+
+# -- failed full-order solves -------------------------------------------------
+
+
+def test_fem_mode_truncates_on_a_failed_sigma_point_solve(tmp_path):
+    # a huge start covariance puts the off-center sigma points where exp(m)
+    # overflows; the run truncates instead of crashing and counts every row
+    cfg = tiny_cfg(start_cov=1e8, out_dir=str(tmp_path))
+    with pytest.warns(UserWarning, match="inversion stopped at step 1"):
+        rec = harness.load_record(harness.cmd_invert(cfg))
+    n_sigma = 2 * cfg.n_dim + 1
+    assert rec["extras"]["cycles_used"] == 0
+    assert rec["counts"] == {"fem-uki": n_sigma * (0 + 1), "diagnostic": 1,
+                             "total": n_sigma + 1}
+    assert math.isfinite(rec["extras"]["final_e_d"])
+
+
+def test_failed_rows_score_inf_and_refinement_raises(bench, trained):
+    s, dataset, _ = trained
+    ledger = EvalLedger()
+    task = harness.InversionTask(bench, _clone(s), dataset, ledger, 1)
+    Z = np.zeros((3, bench.cfg.n_dim))
+    Z[1] = 1e4  # exp(m) overflows in this row only
+    Y = task.full_forward(Z, "anchor-scan")
+    assert np.all(np.isnan(Y[1]))
+    assert np.array_equal(Y[0], bench.full_forward(Z[:1])[0])
+
+    traj = [GaussianState(z, np.eye(len(z))) for z in Z]
+    anchor = select_anchor(traj, lambda P: task.full_forward(P, "anchor-scan"), bench.data)
+    assert anchor.misfits[1] == math.inf and anchor.step_index == 1
+    assert local_model_error(task.surrogate_batch,
+                             lambda P: task.full_forward(P, "diagnostic"), Z) == math.inf
+    with pytest.raises(SolverError):
+        task.refine(Z)
+    assert task.dataset is dataset  # no NaN target entered the training set
+    assert ledger.counts == {"anchor-scan": 6, "diagnostic": 3, "adaptive-sample": 3}
 
 
 # -- persistence --------------------------------------------------------------
@@ -377,8 +422,8 @@ def test_fem_inversion_matches_linear_fixed_point(tmp_path):
     rec = harness.load_record(path)
 
     bench = Bench(cfg)  # same seed, same data
-    b = bench.full_forward(np.zeros(4))
-    A = np.column_stack([bench.full_forward(e) - b for e in np.eye(4)])
+    b = bench.full_forward(np.zeros((1, 4)))[0]
+    A = (bench.full_forward(np.eye(4)) - b).T
     st0 = bench.initial_state()
     model = LinearModel(G=A, y=bench.data.y_obs - b, alpha=cfg.alpha, r0=st0.r,
                         sigma_omega=(2.0 - cfg.alpha**2) * st0.C,

@@ -82,7 +82,7 @@ def test_sigma_point_iteration_reaches_same_fixed_point():
     m = random_model(rng, n=3, p=4, alpha=1.0)
     cfg = UKIConfig(alpha=m.alpha, r0=m.r0, sigma_omega=m.sigma_omega, sigma_eta=m.sigma_eta)
     data = ObservationData(m.y, m.sigma_eta, 0.0)
-    traj = run_uki(GaussianState(np.zeros(3), np.eye(3)), lambda v: m.G @ v, data, cfg, 150)
+    traj = run_uki(GaussianState(np.zeros(3), np.eye(3)), lambda V: V @ m.G.T, data, cfg, 150)
     fp = solve_fixed_point(m)
     assert np.allclose(traj[-1].r, fp.r, atol=1e-8)
     assert np.allclose(traj[-1].C, fp.C, atol=1e-8)

@@ -88,6 +88,22 @@ def test_observe_state_concatenates_snapshots():
     assert np.allclose(observe_state(f1, s), np.ones(9))
 
 
+def test_batch_readout_rows_equal_single_readouts():
+    g = Grid2D(7, 9)
+    rng = np.random.default_rng(4)
+    fields = [Field(g, v) for v in rng.standard_normal((5, g.n_nodes))]
+    s = lattice_sensors(4)
+    Y = observe(fields, s)
+    assert Y.shape == (5, 16)
+    for row, f in zip(Y, fields):
+        assert np.array_equal(row, observe(f, s))
+    snaps = [(fields[i], fields[i + 1]) for i in range(4)]
+    Y = observe_state(snaps, s)
+    assert Y.shape == (4, 32)
+    for row, state in zip(Y, snaps):
+        assert np.array_equal(row, observe_state(state, s))
+
+
 # -- synthesis ----------------------------------------------------------------
 
 

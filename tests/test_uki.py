@@ -89,7 +89,7 @@ def scalar_setup():
 def test_uki_step_scalar_hand_value():
     # identity forward, y = 1: first step lands exactly at (2/3, 2/3)
     st, cfg, data = scalar_setup()
-    new = uki_step(st, lambda m: m, data, cfg)
+    new = uki_step(st, lambda P: P, data, cfg)
     assert new.r[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert new.C[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
@@ -110,7 +110,7 @@ def test_uki_step_matches_affine_oracle():
         )
         st = GaussianState(rng.standard_normal(n), random_spd(n, rng))
         data = ObservationData(y, cfg.sigma_eta, 0.0)
-        got = uki_step(st, lambda m: A @ m + b, data, cfg)
+        got = uki_step(st, lambda P: P @ A.T + b, data, cfg)
         want_r, want_C = kalman_affine_update(st.r, st.C, A, b, y, cfg)
         assert np.allclose(got.r, want_r, atol=1e-10)
         assert np.allclose(got.C, want_C, atol=1e-10)
@@ -123,7 +123,7 @@ def test_uki_step_zero_innovation_keeps_mean():
     st = GaussianState(rng.standard_normal(n), random_spd(n, rng))
     cfg = UKIConfig(alpha=1.0, r0=np.zeros(n), sigma_omega=np.eye(n), sigma_eta=np.eye(4))
     data = ObservationData(A @ st.r, np.eye(4), 0.0)  # y = G(r_hat) since alpha = 1
-    new = uki_step(st, lambda m: A @ m, data, cfg)
+    new = uki_step(st, lambda P: P @ A.T, data, cfg)
     assert np.allclose(new.r, st.r, atol=1e-12)
     # covariance still contracts
     assert np.trace(new.C) < np.trace(st.C) + np.trace(cfg.sigma_omega)
@@ -132,14 +132,20 @@ def test_uki_step_zero_innovation_keeps_mean():
 def test_uki_step_counts_forward_calls():
     st, cfg, data = scalar_setup()
     calls = []
-    uki_step(st, lambda m: (calls.append(1), m)[1], data, cfg)
-    assert len(calls) == 3  # 2 n + 1
+    uki_step(st, lambda P: (calls.append(len(P)), P)[1], data, cfg)
+    assert calls == [3]  # one batch of 2 n + 1 sigma points
 
 
 def test_uki_step_rejects_nonfinite_forward():
     st, cfg, data = scalar_setup()
     with pytest.raises(UkiError):
-        uki_step(st, lambda m: np.array([np.nan]), data, cfg)
+        uki_step(st, lambda P: np.full((len(P), 1), np.nan), data, cfg)
+
+
+def test_uki_step_rejects_misshaped_forward():
+    st, cfg, data = scalar_setup()
+    with pytest.raises(ValueError):
+        uki_step(st, lambda P: P[:, 0], data, cfg)  # one value, not one row, per point
 
 
 def test_uki_config_validation():
@@ -157,7 +163,7 @@ def test_covariance_stays_symmetric():
     cfg = UKIConfig(alpha=0.7, r0=np.zeros(n), sigma_omega=np.eye(n), sigma_eta=np.eye(8))
     data = ObservationData(rng.standard_normal(8), np.eye(8), 0.0)
     for _ in range(5):
-        st = uki_step(st, lambda m: A @ m, data, cfg)
+        st = uki_step(st, lambda P: P @ A.T, data, cfg)
         assert np.array_equal(st.C, st.C.T)
         np.linalg.cholesky(st.C)  # stays SPD
 
@@ -168,7 +174,7 @@ def test_covariance_stays_symmetric():
 def test_run_uki_trajectory_and_callback():
     st, cfg, data = scalar_setup()
     seen = []
-    traj = run_uki(st, lambda m: m, data, cfg, 4,
+    traj = run_uki(st, lambda P: P, data, cfg, 4,
                    on_step=lambda k, s, y0: seen.append((k, float(y0[0]))))
     assert len(traj) == 4
     assert [k for k, _ in seen] == [1, 2, 3, 4]
@@ -180,7 +186,7 @@ def test_run_uki_trajectory_and_callback():
 
 def test_run_uki_converges_to_scalar_fixed_point():
     st, cfg, data = scalar_setup()
-    traj = run_uki(st, lambda m: m, data, cfg, 100)
+    traj = run_uki(st, lambda P: P, data, cfg, 100)
     c_inf = (math.sqrt(5.0) - 1.0) / 2.0
     assert traj[-1].C[0, 0] == pytest.approx(c_inf, abs=1e-8)
     assert traj[-1].r[0] == pytest.approx(1.0, abs=1e-8)
@@ -190,9 +196,11 @@ def test_run_uki_truncates_on_failure():
     st, cfg, data = scalar_setup()
     count = [0]
 
-    def flaky(m):
-        count[0] += 1
-        return np.array([np.nan]) if count[0] > 7 else m
+    def flaky(P):
+        # rows count up across calls; from the 8th on they read NaN
+        rows = count[0] + np.arange(1, len(P) + 1)
+        count[0] += len(P)
+        return np.where((rows > 7)[:, None], np.nan, P)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -210,9 +218,9 @@ def test_run_uki_total_eval_count():
     data = ObservationData(rng.standard_normal(5), np.eye(5), 0.0)
     calls = [0]
 
-    def fwd(m):
-        calls[0] += 1
-        return A @ m
+    def fwd(P):
+        calls[0] += len(P)
+        return P @ A.T
 
     run_uki(st, fwd, data, cfg, 6)
     assert calls[0] == 6 * (2 * n + 1)
