@@ -3,7 +3,8 @@
 Four benchmark problems share the grid conventions of :mod:`opinv.grf`:
 
 * Darcy flow: ``-div(exp(m) grad u) = f`` with zero Dirichlet walls and a
-  piecewise-constant source banded in the y coordinate.
+  piecewise-constant source banded in the y coordinate, solved by banded
+  Cholesky.
 * Heat with unknown source location: ``u_t - lap u = f(x; chi, t)`` with zero
   Neumann walls, zero initial state, and a Gaussian bump source switched off
   after a cutoff time; the state is kept at two snapshot times.
@@ -28,6 +29,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solveh_banded
 
 from opinv.grf import Field, Grid2D, KLBasis, sample_field
 
@@ -161,66 +163,61 @@ class DarcyProblem:
         return b
 
 
-@lru_cache(maxsize=16)
-def _darcy_pattern(nx: int, ny: int):
-    """CSC structure of the interior 5-point system, built once per grid.
-
-    Returns (indices, indptr, perm): the stencil values, concatenated as
-    centre, east, west, north and south couplings in x-major node order,
-    land in CSC order as ``values[perm]``.
-    """
-    k = np.arange((nx - 2) * (ny - 2)).reshape(nx - 2, ny - 2)
-    rows = np.concatenate([k.ravel(), k[:-1].ravel(), k[1:].ravel(),
-                           k[:, :-1].ravel(), k[:, 1:].ravel()])
-    cols = np.concatenate([k.ravel(), k[1:].ravel(), k[:-1].ravel(),
-                           k[:, 1:].ravel(), k[:, :-1].ravel()])
-    # data 1..nnz tags each entry's position: none is zero, none is summed
-    A = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), shape=(k.size,) * 2)
-    perm = A.data.astype(np.intp) - 1
-    for a in (A.indices, A.indptr, perm):
-        a.flags.writeable = False
-    return A.indices, A.indptr, perm
-
-
-def solve_darcy(problem: DarcyProblem, m: Field) -> Field:
-    """Solve the Darcy problem for log-conductivity field m.
-
-    5-point finite volumes with harmonic averaging of exp(m) at the faces;
-    raises SolverError if the direct solve leaves a relative residual above
-    1e-10 or the coefficient field overflows.
+def darcy_band(problem: DarcyProblem, m: Field) -> np.ndarray:
+    """Upper band storage (LAPACK "U", shape (ny-1, (nx-2)(ny-2)), x-major)
+    of the interior 5-point system for log-conductivity m: row ny-2 holds
+    the diagonal, row ny-3 the north/south couplings at offset 1 (zero where
+    an x-line starts), row 0 the east/west couplings at offset ny-2.  Faces
+    take the harmonic mean of exp(m); raises SolverError if one is not finite.
     """
     g = problem.grid
     if m.grid != g:
         raise ValueError("field grid does not match problem grid")
-    with np.errstate(over="ignore"):
-        a = np.exp(m.as_matrix())
-    if not np.all(np.isfinite(a)):
-        raise SolverError("exp(m) overflowed")
 
     def harm(p, q):
         return 2.0 * p * q / (p + q)
 
-    ax = harm(a[:-1, :], a[1:, :])  # face (i,j)-(i+1,j), shape (nx-1, ny)
-    ay = harm(a[:, :-1], a[:, 1:])  # face (i,j)-(i,j+1), shape (nx, ny-1)
+    # past exp(m) ~ 1e154, 2pq overflows (inf) or p + q too (inf/inf = NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.exp(m.as_matrix())
+        ax = harm(a[:-1, :], a[1:, :])  # face (i,j)-(i+1,j), shape (nx-1, ny)
+        ay = harm(a[:, :-1], a[:, 1:])  # face (i,j)-(i,j+1), shape (nx, ny-1)
+    if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+        raise SolverError("face conductance not finite: exp(m) out of range")
     # conductances of the four faces of each interior node, shape (nx-2, ny-2)
     aE = ax[1:, 1:-1] / g.hx**2
     aW = ax[:-1, 1:-1] / g.hx**2
     aN = ay[1:-1, 1:] / g.hy**2
     aS = ay[1:-1, :-1] / g.hy**2
     # couple to interior neighbors only; boundary neighbors hold u = 0
-    vals = np.concatenate([(aE + aW + aN + aS).ravel(), -aE[:-1].ravel(),
-                           -aW[1:].ravel(), -aN[:, :-1].ravel(), -aS[:, 1:].ravel()])
-    indices, indptr, perm = _darcy_pattern(g.nx, g.ny)
-    A = sp.csc_matrix((vals[perm], indices, indptr), shape=(indptr.size - 1,) * 2)
+    nyi = g.ny - 2
+    ab = np.zeros((nyi + 1, aE.size))
+    ab[nyi] = (aE + aW + aN + aS).ravel()
+    ab[nyi - 1].reshape(aE.shape)[:, 1:] = -aN[:, :-1]
+    ab[0, nyi:] = -aE[:-1].ravel()
+    return ab
+
+
+def solve_darcy(problem: DarcyProblem, m: Field) -> Field:
+    """Solve the Darcy problem for log-conductivity m: a banded Cholesky
+    (LAPACK ``pbsv``) of ``darcy_band``; raises SolverError if it is not
+    positive definite or leaves a relative residual above 1e-10."""
+    g = problem.grid
+    ab = darcy_band(problem, m)
     b = problem.interior_source
     try:
-        u_int = spla.splu(A).solve(b)
-    except RuntimeError as err:
-        raise SolverError(f"sparse LU failed: {err}") from err
-    res = np.linalg.norm(A @ u_int - b) / np.linalg.norm(b)
+        u_int = solveh_banded(ab, b, lower=False, check_finite=False)
+    except LinAlgError as err:
+        raise SolverError(f"banded Cholesky failed: {err}") from err
+    # residual by a band matvec on offsets 0, 1 and ny-2 (a set: ny-2 may be 1)
+    nyi = ab.shape[0] - 1
+    r = ab[nyi] * u_int - b
+    for d in {1, nyi}:
+        r[:-d] += ab[nyi - d, d:] * u_int[d:]
+        r[d:] += ab[nyi - d, d:] * u_int[:-d]
+    res = np.linalg.norm(r) / np.linalg.norm(b)
     if not np.isfinite(res) or res > 1e-10:
         raise SolverError(f"Darcy solve residual {res:.3e} above 1e-10")
-
     u = np.zeros(g.n_nodes)
     u[_interior_index(g)] = u_int
     return Field(g, u)
@@ -463,9 +460,10 @@ def _each_row(solve, params) -> list:
 
 def solve_batch(problem, params: list) -> list:
     """One state per parameter (a Field, or for heat-loc a center chi whose
-    state is a tuple of snapshot Fields).  Darcy and heat-loc solve one at
-    a time, and a failed Darcy solve leaves its SolverError in place of a
-    state; the time-dependent field problems march all together."""
+    state is a tuple of snapshot Fields).  Darcy (a banded Cholesky solve
+    per row) and heat-loc solve one at a time, and a failed Darcy solve
+    leaves its SolverError in place of a state; the time-dependent field
+    problems march all together."""
     if isinstance(problem, HeatSourceLocProblem):
         return _each_row(partial(solve_heat_loc, problem), params)
     if isinstance(problem, DarcyProblem):

@@ -360,6 +360,8 @@ def run_plain_mode(cfg: RunConfig, bench: Bench, ledger: EvalLedger, mode: str,
         record.series.append(_series_row(
             k, e_d=misfit(yc, bench.data), e_i=bench.inversion_error(st.r)))
     final = traj[-1] if traj else state0
+    record.stopped = ("budget" if len(traj) == cfg.t_steps
+                      else f"truncated at step {len(traj) + 1}")
 
     diagnostic = lambda Z: bench.full_forward(Z, ledger, "diagnostic")  # noqa: E731
     record.extras = {"final_e_d": full_misfits(diagnostic, final.r, bench.data)[0],

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solveh_banded
 
+from opinv import forward
 from opinv.forward import (
     DarcyProblem,
     EvalLedger,
@@ -13,6 +15,7 @@ from opinv.forward import (
     ReactionDiffusionProblem,
     SolverError,
     advection_operator,
+    darcy_band,
     dirichlet_laplacian,
     forward_map,
     march_heat_neumann,
@@ -142,9 +145,19 @@ def test_darcy_rejects_overflowing_coefficient():
         solve_darcy(DarcyProblem(g), Field(g, np.full(64, 800.0)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("level", [400.0, 709.0])
+def test_darcy_rejects_overflowing_face_conductance(level):
+    # exp(m) is finite, but the harmonic face mean 2pq/(p+q) overflows:
+    # to inf at m = 400, to inf/inf = NaN at m = 709.  Nothing may warn.
+    g = Grid2D(8, 8)
+    with pytest.raises(SolverError, match="face conductance"):
+        solve_darcy(DarcyProblem(g), Field(g, np.full(64, level)))
+
+
 def _darcy_by_coo_assembly(problem, m):
-    """Reference solve: the stencil assembled as COO triplets, converted
-    CSR -> CSC and factorized, the way the solver first did it."""
+    """Reference matrix: the stencil assembled as COO triplets and converted
+    to CSR, the way the solver first did it; returns (A, interior index)."""
     g = problem.grid
     a = np.exp(m.as_matrix())
     ax = 2.0 * a[:-1, :] * a[1:, :] / (a[:-1, :] + a[1:, :])
@@ -165,18 +178,73 @@ def _darcy_by_coo_assembly(problem, m):
         vals.append(-c[mask])
     A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(nxi * nyi, nxi * nyi))
-    interior = (ii * g.ny + jj).ravel()
-    u = np.zeros(g.n_nodes)
-    u[interior] = spla.splu(A.tocsc()).solve(problem.source_values()[interior])
-    return u
+    return A, (ii * g.ny + jj).ravel()
 
 
-def test_darcy_solve_is_bit_identical_to_coo_assembly():
+def _band_to_dense(ab):
+    """Symmetric matrix of LAPACK upper band storage."""
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    A = np.zeros((n, n))
+    for d in range(u + 1):
+        i = np.arange(n - d)
+        A[i, i + d] = A[i + d, i] = ab[u - d, d:]
+    return A
+
+
+def _darcy_case(n, seed):
+    g = Grid2D(n, n + 3)
+    return DarcyProblem(g), sample_field(build_kl_basis(g, 16), 2.0 * draw_prior(16, seed))
+
+
+def test_darcy_band_is_bit_identical_to_coo_assembly():
     for n, seed in ((9, 0), (13, 1), (24, 2)):
-        g = Grid2D(n, n + 3)
-        m = sample_field(build_kl_basis(g, 16), 2.0 * draw_prior(16, seed))
-        want = _darcy_by_coo_assembly(DarcyProblem(g), m)
-        assert np.array_equal(solve_darcy(DarcyProblem(g), m).values, want)
+        problem, m = _darcy_case(n, seed)
+        A, _ = _darcy_by_coo_assembly(problem, m)
+        ab = darcy_band(problem, m)
+        assert ab.shape == (n + 2, (n - 2) * (n + 1))  # (ny - 1, interior nodes)
+        assert np.array_equal(_band_to_dense(ab), A.toarray())
+
+
+def test_darcy_solve_matches_coo_splu_reference():
+    for n, seed in ((9, 0), (13, 1), (24, 2), (70, 3)):
+        problem, m = _darcy_case(n, seed)
+        A, interior = _darcy_by_coo_assembly(problem, m)
+        want = np.zeros(problem.grid.n_nodes)
+        want[interior] = spla.splu(A.tocsc()).solve(problem.source_values()[interior])
+        got = solve_darcy(problem, m).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_darcy_factorization_failure_is_a_solver_error(monkeypatch):
+    # row 1's factorization fails: a SolverError, which forward_map keeps in
+    # place while it solves the other rows
+    g = Grid2D(10, 10)
+    basis = build_kl_basis(g, 8)
+    Z = np.array([draw_prior(8, s) for s in (1, 2, 3)])
+    want = forward_map(DarcyProblem(g), basis, Z)
+    bad = darcy_band(DarcyProblem(g), sample_field(basis, Z[1]))
+
+    def solveh(ab, b, **kw):
+        if np.array_equal(ab, bad):
+            raise LinAlgError("2-th leading minor not positive definite")
+        return solveh_banded(ab, b, **kw)
+
+    monkeypatch.setattr(forward, "solveh_banded", solveh)
+    with pytest.raises(SolverError, match="banded Cholesky"):
+        solve_darcy(DarcyProblem(g), sample_field(basis, Z[1]))
+    states = forward_map(DarcyProblem(g), basis, Z)
+    assert isinstance(states[1], SolverError)
+    for i in (0, 2):
+        assert np.array_equal(states[i].values, want[i].values)
+
+
+def test_darcy_residual_check_raises(monkeypatch):
+    g = Grid2D(10, 10)
+    m = sample_field(build_kl_basis(g, 8), draw_prior(8, 1))
+    monkeypatch.setattr(forward, "solveh_banded",
+                        lambda ab, b, **kw: solveh_banded(ab, b, **kw) * (1 + 1e-8))
+    with pytest.raises(SolverError, match="residual"):
+        solve_darcy(DarcyProblem(g), m)
 
 
 def test_darcy_grid_mismatch():

@@ -197,6 +197,7 @@ def test_fem_mode_eval_budget(bench, fem_record):
     assert fem_record.counts["fem-uki"] == (2 * n + 1) * T
     assert fem_record.counts["diagnostic"] == 1
     assert fem_record.counts["total"] == (2 * n + 1) * T + 1
+    assert fem_record.stopped == "budget"  # every step ran
 
 
 def test_fem_mode_series_and_final(bench, fem_record):
@@ -253,6 +254,7 @@ def test_fem_mode_truncates_on_a_failed_sigma_point_solve(tmp_path):
         rec = harness.load_record(harness.cmd_invert(cfg))
     n_sigma = 2 * cfg.n_dim + 1
     assert rec["extras"]["cycles_used"] == 0
+    assert rec["stopped"] == "truncated at step 1"
     assert rec["counts"] == {"fem-uki": n_sigma * (0 + 1), "diagnostic": 1,
                              "total": n_sigma + 1}
     assert math.isfinite(rec["extras"]["final_e_d"])
