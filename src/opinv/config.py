@@ -1,15 +1,77 @@
-"""Run configuration: presets, delta-dependent defaults, JSON round-trip,
-and the master-seed split into named random streams."""
+"""Run configuration: the problem registry, presets, delta-dependent
+defaults, JSON round-trip, and the master-seed split into named random
+streams."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-PROBLEMS = ("darcy", "heat-loc", "heat-field", "reaction-diffusion")
+from .forward import (
+    DarcyProblem,
+    HeatSourceFieldProblem,
+    HeatSourceLocProblem,
+    ReactionDiffusionProblem,
+)
+from .grf import Grid2D
+
+
+@dataclass(frozen=True)
+class PointParam:
+    """A parameter used as is rather than realized on a KL basis, with a
+    fixed truth, a fixed start mean and a prior uniform on the
+    ``RunConfig.chi_box`` square."""
+
+    truth: tuple
+    start: tuple
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """Everything that sets one benchmark problem apart.  The class has a
+    ``solve_batch(params)`` method and an ``obs_times`` tuple (empty for a
+    single state); ``desk`` and ``paper`` are the preset's RunConfig deltas."""
+
+    problem_class: type
+    point: PointParam | None = None  # None: KL coefficients realized on a basis
+    desk: dict = field(default_factory=dict)
+    paper: dict = field(default_factory=dict)
+
+    def build(self, grid: int):
+        return self.problem_class(Grid2D(grid, grid))
+
+    def n_dim(self, n_modes: int) -> int:
+        """Dimension of the inversion parameter vector."""
+        return n_modes if self.point is None else len(self.point.truth)
+
+
+# smaller adaptive batches keep the desk eval budget well under fem-uki
+_FIELD_DESK = dict(q_new=20)
+_FIELD_PAPER = dict(grid=70, n_modes=128, n_prior=1000, offline_iters=100000,
+                    p_basis=100, hidden=(100,) * 5, encoder_axis=16, query_axis=16,
+                    n_probe=100)
+_LOC = dict(truth="fixed", n_modes=2, sensor_axis=3, start_cov=0.02)
+
+SPECS = {
+    "darcy": ProblemSpec(DarcyProblem, desk=_FIELD_DESK, paper=_FIELD_PAPER),
+    "heat-loc": ProblemSpec(
+        HeatSourceLocProblem, PointParam(truth=(0.2, 0.2), start=(0.6, 0.6)),
+        # the source walks far outside the offline box; a tight stall
+        # threshold (epsilon) keeps refinement alive through flat misfit stretches
+        desk=dict(_LOC, n_prior=150, offline_iters=2500, p_basis=24, hidden=(48, 48),
+                  q_new=50, k_pool=1500, n_probe=10, epsilon=0.001),
+        paper=dict(_LOC, grid=70, n_prior=500, offline_iters=100000, p_basis=100,
+                   hidden=(100,) * 5, query_axis=16, n_probe=100)),
+    "heat-field": ProblemSpec(HeatSourceFieldProblem, desk=dict(_FIELD_DESK, truth="fixed"),
+                              paper=dict(_FIELD_PAPER, truth="fixed")),
+    "reaction-diffusion": ProblemSpec(ReactionDiffusionProblem,
+                                      desk=dict(_FIELD_DESK, truth="ood"),
+                                      paper=dict(_FIELD_PAPER, truth="ood")),
+}
+PROBLEMS = tuple(SPECS)
 MODES = ("fem-uki", "deeponet-direct", "deeponet-adaptive")
 TRUTHS = ("idd", "ood", "fixed")
 SCALES = ("desk", "paper")
@@ -69,7 +131,7 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
-        if self.problem not in PROBLEMS:
+        if self.problem not in SPECS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -83,9 +145,13 @@ class RunConfig:
             raise ValueError("delta must be nonnegative")
 
     @property
+    def spec(self) -> ProblemSpec:
+        return SPECS[self.problem]
+
+    @property
     def n_dim(self) -> int:
         """Dimension of the inversion parameter vector."""
-        return 2 if self.problem == "heat-loc" else self.n_modes
+        return self.spec.n_dim(self.n_modes)
 
     # -- randomness ------------------------------------------------------------
 
@@ -124,58 +190,13 @@ class RunConfig:
 
 
 def preset(problem: str, scale: str = "desk") -> RunConfig:
-    """Baseline configuration for one benchmark at desk or paper scale.
+    """Baseline configuration for one benchmark at desk or paper scale: the
+    spec's deltas on the RunConfig defaults.
 
     Desk scale shrinks grid, mode count, and training budget so a full run
     finishes in minutes; paper scale restores the published sizes."""
-    if problem not in PROBLEMS:
+    if problem not in SPECS:
         raise ValueError(f"unknown problem {problem!r}")
     if scale not in SCALES:
         raise ValueError("scale must be 'desk' or 'paper'")
-    cfg = RunConfig(problem=problem, scale=scale)
-
-    if problem == "heat-loc":
-        cfg.truth = "fixed"
-        cfg.n_modes = 2
-        cfg.sensor_axis = 3
-        cfg.start_cov = 0.02
-        if scale == "desk":
-            cfg.n_prior = 150
-            cfg.offline_iters = 2500
-            cfg.online_iters = 2000
-            cfg.p_basis = 24
-            cfg.hidden = (48, 48)
-            cfg.query_axis = 12
-            cfg.q_new = 50
-            cfg.k_pool = 1500
-            cfg.n_probe = 10
-            # the source walks far outside the offline box; a tight stall
-            # threshold keeps refinement alive through flat misfit stretches
-            cfg.epsilon = 0.001
-        else:
-            cfg.grid = 70
-            cfg.n_prior = 500
-            cfg.offline_iters = 100000
-            cfg.p_basis = 100
-            cfg.hidden = (100,) * 5
-            cfg.query_axis = 16
-            cfg.n_probe = 100
-        return cfg
-
-    if problem == "heat-field":
-        cfg.truth = "fixed"
-    elif problem == "reaction-diffusion":
-        cfg.truth = "ood"
-    if scale == "desk":
-        cfg.q_new = 20  # smaller batches keep the eval budget well under fem-uki
-    else:
-        cfg.grid = 70
-        cfg.n_modes = 128
-        cfg.n_prior = 1000
-        cfg.offline_iters = 100000
-        cfg.p_basis = 100
-        cfg.hidden = (100,) * 5
-        cfg.encoder_axis = 16
-        cfg.query_axis = 16
-        cfg.n_probe = 100
-    return cfg
+    return RunConfig(problem=problem, scale=scale, **getattr(SPECS[problem], scale))

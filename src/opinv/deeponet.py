@@ -173,10 +173,10 @@ class Surrogate:
             meta = json.load(fh)
         arch = NetArch(tuple(meta["arch"]["branch"]), tuple(meta["arch"]["trunk"]))
         s = cls.init(arch, 0, meta["out_shift"], meta["out_scale"])
-        flat = np.frombuffer(open(stem + ".bin", "rb").read(), dtype="<f8")
+        flat = np.fromfile(stem + ".bin", dtype="<f8")
         if flat.size != meta["n_weights"]:
             raise ValueError("checkpoint weight count mismatch")
-        s.set_weights(flat.copy())
+        s.set_weights(flat)
         s.train_log = [(int(i), float(v)) for i, v in meta["train_log"]]
         s.iters_done = int(meta["iters_done"])
         return s

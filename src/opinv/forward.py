@@ -38,6 +38,17 @@ class SolverError(RuntimeError):
     """A linear solve failed or produced an untrustworthy solution."""
 
 
+def _each_row(solve, params) -> list:
+    """Solve one parameter at a time; a failed solve leaves its SolverError."""
+    out = []
+    for p in params:
+        try:
+            out.append(solve(p))
+        except SolverError as err:
+            out.append(err)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # discrete operators
 
@@ -147,6 +158,12 @@ class DarcyProblem:
     grid: Grid2D
     levels: tuple = (1000.0, 2000.0, 3000.0)
     edges: tuple = (4.0 / 6.0, 5.0 / 6.0)
+    obs_times = ()  # one state, the steady solution
+
+    def solve_batch(self, params: list) -> list:
+        """One banded Cholesky solve per field; a failed solve leaves its
+        SolverError in place of a state."""
+        return _each_row(partial(solve_darcy, self), params)
 
     def source_values(self) -> np.ndarray:
         _, Y = self.grid.mesh()
@@ -298,6 +315,10 @@ class HeatSourceLocProblem:
         amp = self.strength / (2.0 * math.pi * self.width**2)
         return (amp * np.exp(-r2 / (2.0 * self.width**2))).ravel()
 
+    def solve_batch(self, params) -> list:
+        """One snapshot tuple per center chi, solved one at a time."""
+        return _each_row(partial(solve_heat_loc, self), params)
+
 
 def solve_heat_loc(problem: HeatSourceLocProblem, chi) -> tuple:
     """States at the two observation times for source center chi."""
@@ -334,10 +355,15 @@ class HeatSourceFieldProblem:
     t_final: float = 1.0
     n_steps: int = 50
     amplitude: float = 100.0
+    obs_times = ()  # one state, at t_final
 
     def initial_values(self) -> np.ndarray:
         X, Y = self.grid.mesh()
         return (self.amplitude * np.sin(X) * np.sin(Y)).ravel()
+
+    def solve_batch(self, params: list) -> list:
+        """All fields march together."""
+        return solve_heat_field(self, list(params))
 
 
 def solve_heat_field(problem: HeatSourceFieldProblem, m, u0: np.ndarray | None = None):
@@ -380,12 +406,17 @@ class ReactionDiffusionProblem:
     kappa: float = 1.0 / 30.0
     t_final: float = 1.0
     dt: float = 0.02
+    obs_times = ()  # one state, at t_final
 
     def velocity(self):
         X, Y = self.grid.mesh()
         v1 = np.sin(math.pi * X) * np.cos(math.pi * Y)
         v2 = -np.cos(math.pi * X) * np.sin(math.pi * Y)
         return v1, v2
+
+    def solve_batch(self, params: list) -> list:
+        """All initial states march together."""
+        return solve_reaction_diffusion(self, list(params))
 
 
 @lru_cache(maxsize=8)
@@ -447,45 +478,18 @@ class EvalLedger:
             return sum(self._counts.values())
 
 
-def _each_row(solve, params) -> list:
-    """Solve one parameter at a time; a failed solve leaves its SolverError."""
-    out = []
-    for p in params:
-        try:
-            out.append(solve(p))
-        except SolverError as err:
-            out.append(err)
-    return out
-
-
-def solve_batch(problem, params: list) -> list:
-    """One state per parameter (a Field, or for heat-loc a center chi whose
-    state is a tuple of snapshot Fields).  Darcy (a banded Cholesky solve
-    per row) and heat-loc solve one at a time, and a failed Darcy solve
-    leaves its SolverError in place of a state; the time-dependent field
-    problems march all together."""
-    if isinstance(problem, HeatSourceLocProblem):
-        return _each_row(partial(solve_heat_loc, problem), params)
-    if isinstance(problem, DarcyProblem):
-        return _each_row(partial(solve_darcy, problem), params)
-    if isinstance(problem, HeatSourceFieldProblem):
-        return solve_heat_field(problem, list(params))
-    if isinstance(problem, ReactionDiffusionProblem):
-        return solve_reaction_diffusion(problem, list(params))
-    raise TypeError(f"unknown problem type {type(problem).__name__}")
-
-
 def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = None,
                 category: str = "forward") -> list:
     """Full-order parameter-to-state map on a (B, n) batch: one state per
-    row (see solve_batch) and one ledger tick per row, failed rows included.
-    Rows are KL coefficients realized on ``basis``, one ``z @ W`` per row,
-    or for heat-loc the centers chi themselves (``basis`` is ignored)."""
+    row, from ``problem.solve_batch``, and one ledger tick per row, failed
+    rows included.  Rows are KL coefficients realized on ``basis``, one
+    ``z @ W`` per row, or with ``basis`` None parameters used as is (such as
+    heat-loc's source centers)."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
         raise ValueError(f"parameter batch must be (B, n), got shape {Z.shape}")
+    if not hasattr(problem, "solve_batch"):
+        raise TypeError(f"unknown problem type {type(problem).__name__}")
     if ledger is not None:
         ledger.add(category, len(Z))
-    if isinstance(problem, HeatSourceLocProblem):
-        return solve_batch(problem, Z)
-    return solve_batch(problem, [sample_field(basis, z) for z in Z])
+    return problem.solve_batch(Z if basis is None else [sample_field(basis, z) for z in Z])

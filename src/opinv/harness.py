@@ -36,16 +36,7 @@ from .deeponet import (
     train,
     write_loss_history,
 )
-from .forward import (
-    DarcyProblem,
-    EvalLedger,
-    HeatSourceFieldProblem,
-    HeatSourceLocProblem,
-    ReactionDiffusionProblem,
-    SolverError,
-    forward_map,
-    solve_batch,
-)
+from .forward import EvalLedger, SolverError, forward_map
 from .grf import Field, Grid2D, build_kl_basis, draw_uniform, sample_field, write_field_bin
 from .lintheory import LinearModel, verify_error_bound
 from .observe import (
@@ -53,39 +44,26 @@ from .observe import (
     SensorArray,
     lattice_sensors,
     misfit,
-    observe,
+    observe,  # noqa: F401  (unused here; bench/tracing.py rebinds it)
     observe_state,
     save_observation,
     synthesize_data,
 )
 from .uki import GaussianState, UKIConfig, run_uki
 
-CHI_TRUE = np.array([0.2, 0.2])
-
-
 # ---------------------------------------------------------------------------
 # benchmark assembly
 
 
-def build_problem(cfg: RunConfig):
-    grid = Grid2D(cfg.grid, cfg.grid)
-    if cfg.problem == "darcy":
-        return DarcyProblem(grid)
-    if cfg.problem == "heat-loc":
-        return HeatSourceLocProblem(grid)
-    if cfg.problem == "heat-field":
-        return HeatSourceFieldProblem(grid)
-    return ReactionDiffusionProblem(grid)
-
-
 def make_truth(cfg: RunConfig, grid: Grid2D):
-    """Reference parameter for data synthesis.
+    """Reference parameter for data synthesis, and its field (None for a
+    point parameter, whose truth is the spec's fixed one).
 
     Field recipes draw twice as many modes as are inverted, so the target is
-    never exactly representable; the fixed recipe uses a closed-form field.
-    The source-location case always uses the fixed center."""
-    if cfg.problem == "heat-loc":
-        return CHI_TRUE.copy(), None
+    never exactly representable; the fixed recipe uses a closed-form field."""
+    point = cfg.spec.point
+    if point is not None:
+        return np.array(point.truth), None
     if cfg.truth == "fixed":
         X, Y = grid.mesh()
         values = np.sin(np.pi * X) * np.cos(np.pi * Y)
@@ -103,33 +81,31 @@ class Bench:
     def __init__(self, cfg: RunConfig):
         cfg.validate()
         self.cfg = cfg
-        self.problem = build_problem(cfg)
+        self.problem = cfg.spec.build(cfg.grid)
         self.grid = self.problem.grid
-        self.is_loc = cfg.problem == "heat-loc"
-        self.basis = None if self.is_loc else build_kl_basis(self.grid, cfg.n_modes)
-        self.sensors = lattice_sensors(cfg.sensor_axis)
-        self.query_sensors = lattice_sensors(cfg.query_axis)
-        self.obs_times = self.problem.obs_times if self.is_loc else None
-        self.sensor_queries = self._time_tagged(self.sensors)
-        self.query_pts = self._time_tagged(self.query_sensors)
-        if self.is_loc:
-            self.enc_matrix = None
-        else:
+        # a point parameter is used as is: no basis to realize it on, no encoder
+        self.basis = self.enc_matrix = None
+        if cfg.spec.point is None:
+            self.basis = build_kl_basis(self.grid, cfg.n_modes)
             idx = encoder_indices(self.grid, cfg.encoder_axis)
             self.enc_matrix = encoder_matrix(self.basis, idx)
+        self.sensors = lattice_sensors(cfg.sensor_axis)
+        self.query_sensors = lattice_sensors(cfg.query_axis)
+        self.obs_times = self.problem.obs_times
+        self.sensor_queries = self._time_tagged(self.sensors)
+        self.query_pts = self._time_tagged(self.query_sensors)
 
-        truth_param, m_ref = make_truth(cfg, self.grid)
-        self.truth_param = truth_param
-        self.m_ref = m_ref  # Field, or None for heat-loc (truth_param is chi)
-        truth = self.truth_param if self.is_loc else m_ref
-        (self.truth_state,) = _solved(solve_batch(self.problem, [truth]))
+        self.truth_param, self.m_ref = make_truth(cfg, self.grid)
+        # what the solver takes: the truth field, or the point parameter
+        self.truth = self.truth_param if self.m_ref is None else self.m_ref
+        (self.truth_state,) = _solved(self.problem.solve_batch([self.truth]))
         y_ref = self.readings(self.truth_state)
         self.data = synthesize_data(y_ref, cfg.delta, rng=cfg.rng("noise"))
 
     def _time_tagged(self, sensors: SensorArray) -> np.ndarray:
         """Trunk coordinates: (x, y) or, for snapshot problems, (x, y, t)
         blocks concatenated time-major to match observe_state's order."""
-        if not self.is_loc:
+        if not self.obs_times:
             return sensors.locations.copy()
         rows = []
         for t in self.obs_times:
@@ -140,14 +116,10 @@ class Bench:
     # -- extraction from a solved state or a list of them -------------------
 
     def readings(self, state) -> np.ndarray:
-        if self.is_loc:
-            return observe_state(state, self.sensors)
-        return observe(state, self.sensors)
+        return observe_state(state, self.sensors)
 
     def targets(self, state) -> np.ndarray:
-        if self.is_loc:
-            return observe_state(state, self.query_sensors)
-        return observe(state, self.query_sensors)
+        return observe_state(state, self.query_sensors)
 
     # -- parameter-space helpers --------------------------------------------
 
@@ -162,19 +134,14 @@ class Bench:
             return None
         return sample_field(self.basis, z)
 
-    def inversion_error(self, z) -> float | None:
-        if self.is_loc:
-            return relative_inversion_error(np.asarray(z), self.truth_param)
-        if self.m_ref is None:
-            return None
-        return relative_inversion_error(self.field_of(z), self.m_ref)
+    def inversion_error(self, z) -> float:
+        estimate = np.asarray(z) if self.basis is None else self.field_of(z)
+        return relative_inversion_error(estimate, self.truth)
 
     def initial_state(self) -> GaussianState:
-        n = self.cfg.n_dim
-        if self.is_loc:
-            r0 = np.array([0.6, 0.6])
-        else:
-            r0 = self.cfg.rng("init").standard_normal(n)
+        n, point = self.cfg.n_dim, self.cfg.spec.point
+        r0 = (self.cfg.rng("init").standard_normal(n) if point is None
+              else np.array(point.start))
         return GaussianState(r0, self.cfg.start_cov * np.eye(n))
 
     def full_forward(self, Z, ledger=None, category="forward") -> np.ndarray:
@@ -207,11 +174,11 @@ def _solved(states: list) -> list:
 
 
 def draw_prior_params(cfg: RunConfig, n: int) -> np.ndarray:
-    """n draws from the "prior" stream: source centers uniform on chi_box
-    for heat-loc, standard-normal KL coefficients otherwise."""
+    """n draws from the "prior" stream: a point parameter uniform on the
+    chi_box square, standard-normal KL coefficients otherwise."""
     rng = cfg.rng("prior")
-    if cfg.problem == "heat-loc":
-        return rng.uniform(*cfg.chi_box, size=(n, 2))
+    if cfg.spec.point is not None:
+        return rng.uniform(*cfg.chi_box, size=(n, cfg.n_dim))
     return rng.standard_normal((n, cfg.n_modes))
 
 
@@ -447,9 +414,9 @@ def cmd_train_offline(cfg: RunConfig) -> str:
     return str(stem)
 
 
-def _load_checkpoint(cfg: RunConfig, stem):
+def _load_checkpoint(bench: Bench, stem):
     surrogate = Surrogate.load(stem)
-    bench_in = 2 if cfg.problem == "heat-loc" else cfg.encoder_axis**2
+    bench_in = bench.encode(np.zeros(bench.cfg.n_dim)).shape[1]
     if surrogate.arch.branch[0] != bench_in:
         raise ValueError(
             f"checkpoint expects {surrogate.arch.branch[0]} branch inputs, "
@@ -473,7 +440,7 @@ def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
     else:
         if checkpoint is None:
             raise ValueError(f"mode {cfg.mode} requires a checkpoint")
-        surrogate, dataset = _load_checkpoint(cfg, checkpoint)
+        surrogate, dataset = _load_checkpoint(bench, checkpoint)
         if cfg.mode == "deeponet-direct":
             task = InversionTask(bench, surrogate, None, ledger, 0)
             record = run_plain_mode(cfg, bench, ledger, cfg.mode, task.surrogate_forward)
@@ -484,8 +451,8 @@ def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    m_hat = bench.field_of(np.array(record.final_r)) if not bench.is_loc else None
-    if bench.is_loc:
+    m_hat = bench.field_of(np.array(record.final_r))
+    if m_hat is None:  # a point estimate goes into the record itself
         record.extras["chi_hat"] = record.final_r
     path = save_record(out, record, m_hat=m_hat, m_ref=bench.m_ref)
     cfg.save(out / "config.json")
@@ -608,7 +575,7 @@ def cmd_solve_forward(cfg: RunConfig, out_dir=None) -> str:
     fdir = out / "fields"
     fdir.mkdir(exist_ok=True)
     state = bench.truth_state
-    snaps = state if isinstance(state, tuple) else (state,)
+    snaps = state if bench.obs_times else (state,)
     for i, f in enumerate(snaps):
         write_field_bin(fdir / f"state_{i}.bin", f)
     if bench.m_ref is not None:
@@ -625,7 +592,7 @@ def cmd_sample_prior(cfg: RunConfig, n: int = 4, out_dir=None) -> str:
     out.mkdir(parents=True, exist_ok=True)
     params = draw_prior_params(cfg, n)
     np.savetxt(out / "params.csv", params, delimiter=",", fmt="%.17g")
-    if cfg.problem != "heat-loc":
+    if cfg.spec.point is None:
         grid = Grid2D(cfg.grid, cfg.grid)
         basis = build_kl_basis(grid, cfg.n_modes)
         fdir = out / "fields"

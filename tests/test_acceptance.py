@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from opinv.adaptive import fem_eval_count, greedy_select
-from opinv.config import RunConfig, preset
+from opinv.config import SPECS, RunConfig, preset
 from opinv.deeponet import NetArch, Surrogate, loss_and_grad
 from opinv.forward import (
     DarcyProblem,
@@ -30,7 +30,6 @@ from opinv.forward import (
 )
 from opinv.grf import Field, Grid2D
 from opinv.harness import (
-    CHI_TRUE,
     cmd_invert,
     cmd_train_offline,
     load_record,
@@ -41,6 +40,7 @@ from opinv.observe import ObservationData
 from opinv.uki import GaussianState, UKIConfig, run_uki, uki_step
 
 PI = math.pi
+CHI_TRUE = np.array(SPECS["heat-loc"].point.truth)
 
 
 def _verdict(k: int, ok: bool, detail: str) -> None:
@@ -295,6 +295,7 @@ def _nondiagnostic(counts: dict) -> int:
     return sum(v for k, v in counts.items() if k not in ("diagnostic", "total", "offline"))
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_darcy_end_to_end(darcy_runs):
     fem, ada = darcy_runs["fem"], darcy_runs["ada"]
     fem_ei = fem["series"][-1]["e_i"]
@@ -328,6 +329,7 @@ def test_criterion_7_desk_darcy_end_to_end(darcy_runs):
 # -- 8: source localization from a cold start ---------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_heat_source_recovery(tmp_path_factory):
     base = tmp_path_factory.mktemp("heat_loc_sweep")
     dists = []
@@ -350,6 +352,7 @@ def test_criterion_8_heat_source_recovery(tmp_path_factory):
 # -- 9: evaluation accounting --------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_9_ledger_identity(darcy_runs):
     checks = []
     for rec in (darcy_runs["fem"], darcy_runs["ada"]):

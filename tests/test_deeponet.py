@@ -1,3 +1,7 @@
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -301,6 +305,19 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(18)
     U, X = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
     np.testing.assert_array_equal(s2.eval(U, X), s.eval(U, X))
+
+
+def test_checkpoint_load_closes_its_file(tmp_path, monkeypatch):
+    stem = tmp_path / "net"
+    small_surrogate().save(stem)
+    # an unclosed file warns as it is freed, where no exception can propagate
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        Surrogate.load(stem)
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
 
 
 def test_loss_history_csv(tmp_path):

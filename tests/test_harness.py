@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from opinv import harness
 from opinv.adaptive import local_model_error, select_anchor
-from opinv.config import RunConfig, preset
+from opinv.config import PROBLEMS, SPECS, ProblemSpec, RunConfig, preset
 from opinv.deeponet import TrainingSet, encoder_indices
 from opinv.forward import (
     DarcyProblem,
@@ -17,10 +18,12 @@ from opinv.forward import (
     SolverError,
 )
 from opinv.grf import Grid2D, build_kl_basis, sample_field
-from opinv.harness import CHI_TRUE, Bench, make_truth
+from opinv.harness import Bench, make_truth
 from opinv.lintheory import LinearModel, solve_fixed_point
 from opinv.observe import observe
 from opinv.uki import GaussianState
+
+CHI_TRUE = np.array(SPECS["heat-loc"].point.truth)
 
 
 def tiny_cfg(**over):
@@ -48,12 +51,20 @@ def trained(bench):
 # -- problem / truth assembly -------------------------------------------------
 
 
-def test_build_problem_dispatch():
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_registry_spec_builds_its_class_and_sets_n_dim(name):
     types = {"darcy": DarcyProblem, "heat-loc": HeatSourceLocProblem,
              "heat-field": HeatSourceFieldProblem,
              "reaction-diffusion": ReactionDiffusionProblem}
-    for name, cls in types.items():
-        assert isinstance(harness.build_problem(tiny_cfg(problem=name)), cls)
+    spec = SPECS[name]
+    problem = spec.build(7)
+    assert type(problem) is spec.problem_class is types[name]
+    assert problem.grid == Grid2D(7, 7)
+    for scale in ("desk", "paper"):
+        cfg = preset(name, scale)
+        assert cfg.spec is spec
+        assert cfg.n_dim == spec.n_dim(cfg.n_modes)
+        assert cfg.n_dim == (2 if name == "heat-loc" else cfg.n_modes)
 
 
 def test_truth_idd_uses_double_mode_count():
@@ -404,6 +415,33 @@ def test_cmd_sample_prior_heat_loc_in_box(tmp_path):
     lo, hi = cfg.chi_box
     assert params.shape == (5, 2)
     assert np.all((params >= lo) & (params <= hi))
+
+
+@dataclass(frozen=True)
+class FieldStateProblem:
+    """Toy problem whose state is the realized field itself: a linear map."""
+
+    grid: Grid2D
+    obs_times = ()
+
+    def solve_batch(self, params):
+        return list(params)
+
+
+def test_fifth_problem_needs_only_a_spec(tmp_path, monkeypatch):
+    monkeypatch.setitem(SPECS, "field-state", ProblemSpec(
+        FieldStateProblem, desk=dict(grid=8, n_modes=3, t_steps=4, sensor_axis=3,
+                                     encoder_axis=3)))
+    cfg = replace(preset("field-state"), mode="fem-uki", out_dir=str(tmp_path / "inv"))
+    rec = harness.load_record(harness.cmd_invert(cfg))
+    assert rec["counts"]["fem-uki"] == (2 * cfg.n_dim + 1) * 4
+    assert rec["counts"]["diagnostic"] == 1
+    assert rec["stopped"] == "budget"
+    assert (tmp_path / "inv" / "fields" / "m_hat.bin").is_file()
+
+    path = harness.cmd_sample_prior(replace(cfg, out_dir=str(tmp_path / "prior")), n=2)
+    assert np.loadtxt(path, delimiter=",").shape == (2, 3)
+    assert len(list((tmp_path / "prior" / "fields").glob("sample_*.bin"))) == 2
 
 
 def test_random_linear_model_reproducible():
