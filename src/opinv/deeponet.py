@@ -269,11 +269,15 @@ def loss_and_grad(s: Surrogate, inputs, targets, queries):
     b_acts = _mlp_forward(s.branch_params, inputs)
     t_acts = _mlp_forward(s.trunk_params, queries)
     beta, tval = b_acts[-1], t_acts[-1]
-    out = s.out_shift + s.out_scale * (beta @ tval.T + s.bias0)
-    resid = out - targets
+    # out_shift + out_scale * (beta tval^T + bias0) - targets, in place
+    resid = beta @ tval.T
+    resid += s.bias0
+    resid *= s.out_scale
+    resid += s.out_shift
+    resid -= targets
     loss = float(np.mean(resid * resid))
 
-    d_raw = (2.0 * s.out_scale / resid.size) * resid
+    d_raw = np.multiply(resid, 2.0 * s.out_scale / resid.size, out=resid)
     d_beta = d_raw @ tval
     d_tval = d_raw.T @ beta
     d_bias0 = float(d_raw.sum())
@@ -317,6 +321,8 @@ def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3,
     initial = empirical_loss(s, ts)
     opt = Adam(s.n_weights, lr)
     w = s.get_weights()
+    # row-major like the residual: batched sensor readings come column-major
+    targets = np.ascontiguousarray(ts.targets)
     order = np.arange(ts.n_entries)
     cursor = 0
     for it in range(1, n_iters + 1):
@@ -328,7 +334,7 @@ def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3,
                 cursor = 0
             idx = order[cursor:cursor + batch_size]
             cursor += batch_size
-        loss, g = loss_and_grad(s, ts.inputs[idx], ts.targets[idx], ts.queries)
+        loss, g = loss_and_grad(s, ts.inputs[idx], targets[idx], ts.queries)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
         w = opt.step(w, g)

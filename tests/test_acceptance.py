@@ -9,7 +9,9 @@ module-scoped set of desk-scale runs.
 
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -329,17 +331,26 @@ def test_criterion_7_desk_darcy_end_to_end(darcy_runs):
 # -- 8: source localization from a cold start ---------------------------------
 
 
+def _heat_loc_run(base, seed: int) -> str:
+    stem = cmd_train_offline(replace(preset("heat-loc", "desk"), seed=seed,
+                                     out_dir=str(base / f"train{seed}")))
+    return cmd_invert(replace(preset("heat-loc", "desk"), seed=seed,
+                              mode="deeponet-adaptive",
+                              out_dir=str(base / f"run{seed}")),
+                      checkpoint=stem)
+
+
 @pytest.mark.slow
-def test_criterion_8_heat_source_recovery(tmp_path_factory):
+def test_criterion_8_heat_source_recovery(tmp_path_factory, monkeypatch):
     base = tmp_path_factory.mktemp("heat_loc_sweep")
+    # The seeds are independent, so two fresh worker processes run them, each
+    # with one BLAS thread: the training matrices are too small to gain from
+    # more, and spin-waiting BLAS threads on shared cores slow it several-fold.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        paths = list(pool.map(_heat_loc_run, [base] * 10, range(10)))
     dists = []
-    for seed in range(10):
-        stem = cmd_train_offline(replace(preset("heat-loc", "desk"), seed=seed,
-                                         out_dir=str(base / f"train{seed}")))
-        path = cmd_invert(replace(preset("heat-loc", "desk"), seed=seed,
-                                  mode="deeponet-adaptive",
-                                  out_dir=str(base / f"run{seed}")),
-                          checkpoint=stem)
+    for path in paths:
         rec = load_record(path)
         chi_hat = np.asarray(rec["extras"]["chi_hat"], dtype=float)
         dists.append(float(np.linalg.norm(chi_hat - CHI_TRUE)))

@@ -211,6 +211,22 @@ def test_minibatch_training_descends():
     assert empirical_loss(s, ts) < before
 
 
+def test_training_is_independent_of_target_layout():
+    # batched sensor readings come out column-major; the in-place residual
+    # must give the same descent either way and leave the targets untouched
+    rng = np.random.default_rng(16)
+    U = rng.uniform(-1, 1, size=(12, 2))
+    X = rng.uniform(0, 1, size=(5, 2))
+    T = rng.standard_normal((12, 5))
+    weights = []
+    for targets in (np.ascontiguousarray(T), np.asfortranarray(T)):
+        s = Surrogate.init(NetArch((2, 6, 3), (2, 6, 3)), np.random.default_rng(17))
+        train(s, TrainingSet(U, targets, X), 50, lr=1e-3)
+        np.testing.assert_array_equal(targets, T)
+        weights.append(s.get_weights())
+    np.testing.assert_array_equal(weights[0], weights[1])
+
+
 def test_fine_tune_beats_cold_start_on_extended_set():
     # Warm-starting from a net trained on the base set should win on the
     # union set for almost every seed, given an equal extra budget.
