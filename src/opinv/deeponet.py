@@ -49,12 +49,24 @@ class NetArch:
         return self.branch[-1]
 
 
-def _init_mlp(widths, rng) -> list:
-    params = []
-    for n_in, n_out in zip(widths[:-1], widths[1:]):
-        scale = np.sqrt(2.0 / (n_in + n_out))
-        params.append((scale * rng.standard_normal((n_in, n_out)), np.zeros(n_out)))
-    return params
+def _layer_views(arch: NetArch, flat: np.ndarray) -> tuple:
+    """(branch, trunk) lists of (W, b) views into a flat weight vector.
+
+    The order is branch W0, b0, W1, b1, ..., then the trunk layers, then
+    bias0 as the last entry: the order of the checkpoint file.
+    """
+    k, nets = 0, []
+    for widths in (arch.branch, arch.trunk):
+        layers = []
+        for n_in, n_out in zip(widths[:-1], widths[1:]):
+            W = flat[k:k + n_in * n_out].reshape(n_in, n_out)
+            k += n_in * n_out
+            layers.append((W, flat[k:k + n_out]))
+            k += n_out
+        nets.append(layers)
+    if flat.shape != (k + 1,):
+        raise ValueError(f"expected {k + 1} weights, got {flat.size}")
+    return tuple(nets)
 
 
 def _mlp_forward(params, x):
@@ -66,35 +78,32 @@ def _mlp_forward(params, x):
         acts.append(z if k == last else np.tanh(z))
     return acts
 
-def _mlp_backward(params, acts, d_out):
-    """Gradients of all (W, b) given d loss / d output; reverse order fixed up."""
-    grads = [None] * len(params)
-    d = d_out
-    for k in range(len(params) - 1, -1, -1):
-        W, _ = params[k]
-        if k != len(params) - 1:
+def _mlp_backward(params, grads, acts, d):
+    """Writes the gradients of all (W, b) into the views ``grads``, given
+    d = d loss / d output."""
+    last = len(params) - 1
+    for k in range(last, -1, -1):
+        if k != last:
             d = d * (1.0 - acts[k + 1] ** 2)  # tanh'
-        grads[k] = (acts[k].T @ d, d.sum(axis=0))
-        d = d @ W.T
-    return grads
-
-
-def _pack(branch_grads, trunk_grads, d_bias0):
-    flat = [g.ravel() for W, b in branch_grads for g in (W, b)]
-    flat += [g.ravel() for W, b in trunk_grads for g in (W, b)]
-    flat.append(np.array([d_bias0]))
-    return np.concatenate(flat)
+        gW, gb = grads[k]
+        np.matmul(acts[k].T, d, out=gW)
+        np.sum(d, axis=0, out=gb)
+        if k:  # nothing reads the gradient w.r.t. the network input
+            d = d @ params[k][0].T
 
 
 class Surrogate:
-    """Trained operator network plus its calibration and training history."""
+    """Trained operator network plus its calibration and training history.
 
-    def __init__(self, arch: NetArch, branch_params, trunk_params, bias0: float = 0.0,
-                 out_shift: float = 0.0, out_scale: float = 1.0):
+    All parameters live in the flat vector ``w`` (see ``_layer_views`` for
+    the order, bias0 is ``w[-1]``); ``branch_params`` and ``trunk_params``
+    are views into it, so ``w`` is only ever updated in place.
+    """
+
+    def __init__(self, arch: NetArch, w, out_shift: float = 0.0, out_scale: float = 1.0):
         self.arch = arch
-        self.branch_params = branch_params
-        self.trunk_params = trunk_params
-        self.bias0 = float(bias0)
+        self.w = np.asarray(w, dtype=float)
+        self.branch_params, self.trunk_params = _layer_views(arch, self.w)
         self.out_shift = float(out_shift)
         self.out_scale = float(out_scale)
         self.train_log: list = []
@@ -102,9 +111,14 @@ class Surrogate:
 
     @classmethod
     def init(cls, arch: NetArch, rng, out_shift: float = 0.0, out_scale: float = 1.0):
+        """Glorot-normal weights; zero biases and bias0."""
         rng = np.random.default_rng(rng)
-        return cls(arch, _init_mlp(arch.branch, rng), _init_mlp(arch.trunk, rng),
-                   0.0, out_shift, out_scale)
+        parts = []
+        for widths in (arch.branch, arch.trunk):
+            for n_in, n_out in zip(widths[:-1], widths[1:]):
+                scale = np.sqrt(2.0 / (n_in + n_out))
+                parts += [scale * rng.standard_normal(n_in * n_out), np.zeros(n_out)]
+        return cls(arch, np.concatenate(parts + [np.zeros(1)]), out_shift, out_scale)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -116,37 +130,18 @@ class Surrogate:
 
     def eval(self, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
         """Surrogate outputs, shape (n_samples, n_queries)."""
-        raw = self.branch_values(inputs) @ self.trunk_values(queries).T + self.bias0
+        raw = self.branch_values(inputs) @ self.trunk_values(queries).T + self.w[-1]
         return self.out_shift + self.out_scale * raw
 
-    # -- flat weight vector ---------------------------------------------------
-
     def get_weights(self) -> np.ndarray:
-        return _pack(self.branch_params, self.trunk_params, self.bias0)
+        return self.w.copy()
 
     def set_weights(self, flat: np.ndarray) -> None:
+        """Copies flat into w in place, so the layer views stay valid."""
         flat = np.asarray(flat, dtype=float)
-        if flat.size != self.n_weights:
-            raise ValueError(f"expected {self.n_weights} weights, got {flat.size}")
-        k = 0
-
-        def take(shape):
-            nonlocal k
-            n = int(np.prod(shape))
-            out = flat[k:k + n].reshape(shape)
-            k += n
-            return out
-
-        for params in (self.branch_params, self.trunk_params):
-            for i, (W, b) in enumerate(params):
-                params[i] = (take(W.shape).copy(), take(b.shape).copy())
-        self.bias0 = float(flat[k])
-
-    @property
-    def n_weights(self) -> int:
-        n = sum(W.size + b.size for W, b in self.branch_params)
-        n += sum(W.size + b.size for W, b in self.trunk_params)
-        return n + 1
+        if flat.shape != self.w.shape:
+            raise ValueError(f"expected {self.w.size} weights, got {flat.size}")
+        self.w[:] = flat
 
     # -- persistence ------------------------------------------------------------
 
@@ -158,13 +153,13 @@ class Surrogate:
             "out_shift": self.out_shift,
             "out_scale": self.out_scale,
             "iters_done": self.iters_done,
-            "n_weights": self.n_weights,
+            "n_weights": self.w.size,
             "train_log": [[int(i), float(v)] for i, v in self.train_log],
         }
         with open(stem + ".json", "w") as fh:
             json.dump(meta, fh, indent=1, sort_keys=True)
         with open(stem + ".bin", "wb") as fh:
-            fh.write(self.get_weights().astype("<f8").tobytes())
+            fh.write(self.w.astype("<f8").tobytes())
 
     @classmethod
     def load(cls, stem):
@@ -172,11 +167,8 @@ class Surrogate:
         with open(stem + ".json") as fh:
             meta = json.load(fh)
         arch = NetArch(tuple(meta["arch"]["branch"]), tuple(meta["arch"]["trunk"]))
-        s = cls.init(arch, 0, meta["out_shift"], meta["out_scale"])
-        flat = np.fromfile(stem + ".bin", dtype="<f8")
-        if flat.size != meta["n_weights"]:
-            raise ValueError("checkpoint weight count mismatch")
-        s.set_weights(flat)
+        s = cls(arch, np.fromfile(stem + ".bin", dtype="<f8"),
+                meta["out_shift"], meta["out_scale"])
         s.train_log = [(int(i), float(v)) for i, v in meta["train_log"]]
         s.iters_done = int(meta["iters_done"])
         return s
@@ -271,19 +263,19 @@ def loss_and_grad(s: Surrogate, inputs, targets, queries):
     beta, tval = b_acts[-1], t_acts[-1]
     # out_shift + out_scale * (beta tval^T + bias0) - targets, in place
     resid = beta @ tval.T
-    resid += s.bias0
+    resid += s.w[-1]
     resid *= s.out_scale
     resid += s.out_shift
     resid -= targets
     loss = float(np.mean(resid * resid))
 
     d_raw = np.multiply(resid, 2.0 * s.out_scale / resid.size, out=resid)
-    d_beta = d_raw @ tval
-    d_tval = d_raw.T @ beta
-    d_bias0 = float(d_raw.sum())
-    b_grads = _mlp_backward(s.branch_params, b_acts, d_beta)
-    t_grads = _mlp_backward(s.trunk_params, t_acts, d_tval)
-    return loss, _pack(b_grads, t_grads, d_bias0)
+    g = np.empty_like(s.w)
+    b_grads, t_grads = _layer_views(s.arch, g)
+    _mlp_backward(s.branch_params, b_grads, b_acts, d_raw @ tval)
+    _mlp_backward(s.trunk_params, t_grads, t_acts, d_raw.T @ beta)
+    g[-1] = d_raw.sum()
+    return loss, g
 
 
 class Adam:
@@ -296,13 +288,16 @@ class Adam:
         self.v = np.zeros(n)
         self.t = 0
 
-    def step(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        """Updates w and the moments in place."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * g * g
         mh = self.m / (1 - self.beta1**self.t)
         vh = self.v / (1 - self.beta2**self.t)
-        return w - self.lr * mh / (np.sqrt(vh) + self.eps)
+        w -= self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
 def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3,
@@ -319,8 +314,7 @@ def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3,
         return s
     rng = np.random.default_rng(rng)
     initial = empirical_loss(s, ts)
-    opt = Adam(s.n_weights, lr)
-    w = s.get_weights()
+    opt = Adam(s.w.size, lr)
     # row-major like the residual: batched sensor readings come column-major
     targets = np.ascontiguousarray(ts.targets)
     order = np.arange(ts.n_entries)
@@ -337,8 +331,7 @@ def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3,
         loss, g = loss_and_grad(s, ts.inputs[idx], targets[idx], ts.queries)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
-        w = opt.step(w, g)
-        s.set_weights(w)
+        opt.step(s.w, g)
         s.iters_done += 1
         if it % record_every == 0 or it == n_iters:
             s.train_log.append((s.iters_done, loss))

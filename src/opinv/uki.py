@@ -122,7 +122,14 @@ def _predict(state: GaussianState, cfg: UKIConfig) -> GaussianState:
     return GaussianState(r_hat, C_hat)
 
 
-def _step_with_center(state: GaussianState, forward_batch, data, cfg: UKIConfig):
+def uki_step(state: GaussianState, forward_batch, data, cfg: UKIConfig):
+    """One prediction / update cycle; returns (new state, center prediction).
+
+    ``forward_batch`` maps the (2 n + 1, n) sigma points to a (2 n + 1, p)
+    array of observation vectors, one row per point; it is called once.
+    ``data`` provides y_obs.  The center prediction is the output row of
+    the predicted mean, the first sigma point.
+    """
     pred = _predict(state, cfg)
     ens = sigma_points(pred)
     Y = np.asarray(forward_batch(ens.points), dtype=float)
@@ -149,17 +156,6 @@ def _step_with_center(state: GaussianState, forward_batch, data, cfg: UKIConfig)
     return GaussianState(r_new, C_new), y_hat
 
 
-def uki_step(state: GaussianState, forward_batch, data, cfg: UKIConfig) -> GaussianState:
-    """One prediction / update cycle.
-
-    ``forward_batch`` maps the (2 n + 1, n) sigma points to a (2 n + 1, p)
-    array of observation vectors, one row per point; it is called once.
-    ``data`` provides y_obs.
-    """
-    new_state, _ = _step_with_center(state, forward_batch, data, cfg)
-    return new_state
-
-
 def run_uki(state: GaussianState, forward_batch, data, cfg: UKIConfig, n_steps: int,
             on_step=None) -> list[GaussianState]:
     """Iterate uki_step n_steps times, one ``forward_batch`` call per step;
@@ -174,7 +170,7 @@ def run_uki(state: GaussianState, forward_batch, data, cfg: UKIConfig, n_steps: 
     traj: list[GaussianState] = []
     for k in range(1, n_steps + 1):
         try:
-            state, y_center = _step_with_center(state, forward_batch, data, cfg)
+            state, y_center = uki_step(state, forward_batch, data, cfg)
         except UkiError as err:
             warnings.warn(f"inversion stopped at step {k}: {err}", stacklevel=2)
             break

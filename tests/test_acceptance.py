@@ -81,7 +81,7 @@ def test_criterion_1_unscented_exact_on_affine_models():
 
         cfg = UKIConfig(alpha, r0, sigma_omega, sigma_eta)
         data = ObservationData(y_obs, sigma_eta, 0.05)
-        got = uki_step(state, lambda Z: Z @ A.T + b, data, cfg)
+        got, _ = uki_step(state, lambda Z: Z @ A.T + b, data, cfg)
 
         # affine map folds into the linear oracle by shifting the data
         model = LinearModel(G=A, y=y_obs - b, alpha=alpha, r0=r0,

@@ -29,7 +29,7 @@ def small_surrogate(seed=0, branch=(3, 6, 2), trunk=(2, 5, 2)):
 
 def zero_surrogate(branch=(2, 2), trunk=(1, 2), **kwargs):
     s = Surrogate.init(NetArch(branch, trunk), np.random.default_rng(0), **kwargs)
-    s.set_weights(np.zeros(s.n_weights))
+    s.w[:] = 0.0
     return s
 
 
@@ -55,19 +55,20 @@ def test_zero_network_outputs_zero():
 
 def test_affine_calibration_applies_after_bias():
     s = zero_surrogate(out_shift=1.0, out_scale=0.5)
-    s.bias0 = 2.0
+    s.w[-1] = 2.0  # bias0
     out = s.eval([[0.0, 0.0]], [[0.5]])
     # shift + scale * (0 + bias0)
     assert out[0, 0] == pytest.approx(2.0)
 
 
+# flat order [W_b, b_b, W_t, b_t, bias0]
+HAND_WEIGHTS = [2.0, 0.5, 3.0, -1.0, 0.25]
+
+
 def test_single_linear_layer_hand_value():
     # branch (1,1) and trunk (1,1) have no hidden layer, so the output is
     # (w_b u + b_b)(w_t x + b_t) + bias0 exactly.
-    s = Surrogate(NetArch((1, 1), (1, 1)),
-                  [(np.array([[2.0]]), np.array([0.5]))],
-                  [(np.array([[3.0]]), np.array([-1.0]))],
-                  bias0=0.25)
+    s = Surrogate(NetArch((1, 1), (1, 1)), HAND_WEIGHTS)
     u, x = 0.7, 0.4
     expected = (2.0 * u + 0.5) * (3.0 * x - 1.0) + 0.25
     assert s.eval([[u]], [[x]])[0, 0] == pytest.approx(expected, rel=1e-15)
@@ -75,11 +76,7 @@ def test_single_linear_layer_hand_value():
 
 def test_tanh_hidden_layer_hand_value():
     # branch (1,1,1): hidden tanh then linear readout.
-    s = Surrogate(NetArch((1, 1, 1), (1, 1)),
-                  [(np.array([[1.5]]), np.array([0.2])),
-                   (np.array([[2.0]]), np.array([0.1]))],
-                  [(np.array([[1.0]]), np.array([0.0]))],
-                  bias0=0.0)
+    s = Surrogate(NetArch((1, 1, 1), (1, 1)), [1.5, 0.2, 2.0, 0.1, 1.0, 0.0, 0.0])
     u, x = 0.3, 0.9
     beta = 2.0 * np.tanh(1.5 * u + 0.2) + 0.1
     assert s.eval([[u]], [[x]])[0, 0] == pytest.approx(beta * x, rel=1e-14)
@@ -163,7 +160,9 @@ def test_gradient_of_exact_fit_is_zero():
 def test_adam_first_step_is_signed_learning_rate():
     opt = Adam(3, lr=0.01)
     g = np.array([5.0, -2.0, 0.0])
-    w = opt.step(np.zeros(3), g)
+    w, m, v = np.zeros(3), opt.m, opt.v
+    assert opt.step(w, g) is None  # w and the moments are updated in place
+    assert opt.m is m and opt.v is v
     np.testing.assert_allclose(w[:2], [-0.01, 0.01], rtol=1e-6)
     assert w[2] == 0.0
 
@@ -225,6 +224,92 @@ def test_training_is_independent_of_target_layout():
         np.testing.assert_array_equal(targets, T)
         weights.append(s.get_weights())
     np.testing.assert_array_equal(weights[0], weights[1])
+
+
+def reference_train(params, ts, n_iters, lr, batch_size=None, rng=None):
+    """Reference trainer: one (W, b) tuple per layer, packed into a flat
+    vector with np.concatenate and stepped by an out-of-place Adam;
+    params = [branch layers, trunk layers, bias0], returned updated."""
+
+    def forward(layers, x):
+        acts = [x]
+        for k, (W, b) in enumerate(layers):
+            z = acts[-1] @ W + b
+            acts.append(z if k == len(layers) - 1 else np.tanh(z))
+        return acts
+
+    def backward(layers, acts, d):
+        grads = [None] * len(layers)
+        for k in range(len(layers) - 1, -1, -1):
+            if k != len(layers) - 1:
+                d = d * (1.0 - acts[k + 1] ** 2)
+            grads[k] = (acts[k].T @ d, d.sum(axis=0))
+            d = d @ layers[k][0].T
+        return grads
+
+    def pack(branch, trunk, bias0):
+        flat = [g.ravel() for layers in (branch, trunk) for W, b in layers for g in (W, b)]
+        return np.concatenate(flat + [np.array([bias0])])
+
+    def unpack(w):
+        k, nets = 0, []
+        for layers in params[:2]:
+            nets.append([])
+            for W, b in layers:
+                nets[-1].append((w[k:k + W.size].reshape(W.shape).copy(),
+                                 w[k + W.size:k + W.size + b.size].copy()))
+                k += W.size + b.size
+        return nets + [float(w[k])]
+
+    rng = np.random.default_rng(rng)
+    targets = np.ascontiguousarray(ts.targets)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    w = pack(*params)
+    m, v = np.zeros(w.size), np.zeros(w.size)
+    order, cursor = np.arange(ts.n_entries), 0
+    for t in range(1, n_iters + 1):
+        idx = slice(None)
+        if batch_size is not None:
+            if cursor + batch_size > ts.n_entries:
+                order, cursor = rng.permutation(ts.n_entries), 0
+            idx = order[cursor:cursor + batch_size]
+            cursor += batch_size
+        branch, trunk, bias0 = params
+        b_acts, t_acts = forward(branch, ts.inputs[idx]), forward(trunk, ts.queries)
+        resid = b_acts[-1] @ t_acts[-1].T + bias0 - targets[idx]
+        d_raw = resid * (2.0 / resid.size)
+        g = pack(backward(branch, b_acts, d_raw @ t_acts[-1]),
+                 backward(trunk, t_acts, d_raw.T @ b_acts[-1]), float(d_raw.sum()))
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mh, vh = m / (1 - b1**t), v / (1 - b2**t)
+        w = w - lr * mh / (np.sqrt(vh) + eps)
+        params = unpack(w)
+    return params
+
+
+def test_flat_in_place_training_matches_per_layer_reference():
+    rng = np.random.default_rng(30)
+    ts = TrainingSet(rng.uniform(-1, 1, size=(20, 3)), rng.standard_normal((20, 6)),
+                     rng.uniform(0, 1, size=(6, 2)))
+    arch = NetArch((3, 8, 8, 4), (2, 8, 4))
+    s = Surrogate.init(arch, np.random.default_rng(31))
+    w = s.w
+    train(s, ts, 50, lr=1e-3)
+    train(s, ts, 20, lr=1e-3, batch_size=6, rng=32)
+
+    init = np.random.default_rng(31)
+    params = [[(np.sqrt(2.0 / (a + b)) * init.standard_normal((a, b)), np.zeros(b))
+               for a, b in zip(widths[:-1], widths[1:])] for widths in (arch.branch, arch.trunk)]
+    params = reference_train(params + [0.0], ts, 50, 1e-3)
+    branch, trunk, bias0 = reference_train(params, ts, 20, 1e-3, batch_size=6, rng=32)
+    want = np.concatenate([g.ravel() for layers in (branch, trunk) for W, b in layers
+                           for g in (W, b)] + [np.array([bias0])])
+    np.testing.assert_array_equal(s.w, want)
+    # training steps the one flat vector, which the layer views still see
+    assert s.w is w
+    assert all(np.shares_memory(a, w) for layers in (s.branch_params, s.trunk_params)
+               for layer in layers for a in layer)
 
 
 def test_fine_tune_beats_cold_start_on_extended_set():
@@ -321,6 +406,22 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(18)
     U, X = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
     np.testing.assert_array_equal(s2.eval(U, X), s.eval(U, X))
+
+
+def test_checkpoint_bin_is_the_flat_vector(tmp_path):
+    Surrogate(NetArch((1, 1), (1, 1)), HAND_WEIGHTS).save(tmp_path / "net")
+    assert (tmp_path / "net.bin").read_bytes() == np.array(HAND_WEIGHTS, "<f8").tobytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_checkpoint_load_rejects_wrong_weight_count(tmp_path, extra):
+    stem = tmp_path / "net"
+    s = small_surrogate()
+    s.save(stem)
+    flat = s.w[:-1] if extra < 0 else np.append(s.w, 0.0)
+    (tmp_path / "net.bin").write_bytes(flat.astype("<f8").tobytes())
+    with pytest.raises(ValueError):
+        Surrogate.load(stem)
 
 
 def test_checkpoint_load_closes_its_file(tmp_path, monkeypatch):

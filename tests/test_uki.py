@@ -89,7 +89,7 @@ def scalar_setup():
 def test_uki_step_scalar_hand_value():
     # identity forward, y = 1: first step lands exactly at (2/3, 2/3)
     st, cfg, data = scalar_setup()
-    new = uki_step(st, lambda P: P, data, cfg)
+    new, _ = uki_step(st, lambda P: P, data, cfg)
     assert new.r[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert new.C[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
@@ -110,7 +110,7 @@ def test_uki_step_matches_affine_oracle():
         )
         st = GaussianState(rng.standard_normal(n), random_spd(n, rng))
         data = ObservationData(y, cfg.sigma_eta, 0.0)
-        got = uki_step(st, lambda P: P @ A.T + b, data, cfg)
+        got, _ = uki_step(st, lambda P: P @ A.T + b, data, cfg)
         want_r, want_C = kalman_affine_update(st.r, st.C, A, b, y, cfg)
         assert np.allclose(got.r, want_r, atol=1e-10)
         assert np.allclose(got.C, want_C, atol=1e-10)
@@ -123,7 +123,7 @@ def test_uki_step_zero_innovation_keeps_mean():
     st = GaussianState(rng.standard_normal(n), random_spd(n, rng))
     cfg = UKIConfig(alpha=1.0, r0=np.zeros(n), sigma_omega=np.eye(n), sigma_eta=np.eye(4))
     data = ObservationData(A @ st.r, np.eye(4), 0.0)  # y = G(r_hat) since alpha = 1
-    new = uki_step(st, lambda P: P @ A.T, data, cfg)
+    new, _ = uki_step(st, lambda P: P @ A.T, data, cfg)
     assert np.allclose(new.r, st.r, atol=1e-12)
     # covariance still contracts
     assert np.trace(new.C) < np.trace(st.C) + np.trace(cfg.sigma_omega)
@@ -163,7 +163,7 @@ def test_covariance_stays_symmetric():
     cfg = UKIConfig(alpha=0.7, r0=np.zeros(n), sigma_omega=np.eye(n), sigma_eta=np.eye(8))
     data = ObservationData(rng.standard_normal(8), np.eye(8), 0.0)
     for _ in range(5):
-        st = uki_step(st, lambda P: P @ A.T, data, cfg)
+        st, _ = uki_step(st, lambda P: P @ A.T, data, cfg)
         assert np.array_equal(st.C, st.C.T)
         np.linalg.cholesky(st.C)  # stays SPD
 
