@@ -76,6 +76,7 @@ MODES = ("fem-uki", "deeponet-direct", "deeponet-adaptive")
 TRUTHS = ("idd", "ood", "fixed")
 SCALES = ("desk", "paper")
 # fixed spawn order; every run derives all randomness from these streams
+# "train" is reserved: nothing draws from it, but it fixes the seed of "truth"
 STREAMS = ("prior", "noise", "init", "pool", "train", "truth")
 
 

@@ -83,8 +83,10 @@ def _mlp_backward(params, grads, acts, d):
     d = d loss / d output."""
     last = len(params) - 1
     for k in range(last, -1, -1):
-        if k != last:
-            d = d * (1.0 - acts[k + 1] ** 2)  # tanh'
+        if k != last:  # tanh' = 1 - a^2, formed in one buffer
+            dtanh = np.square(acts[k + 1])
+            np.subtract(1.0, dtanh, out=dtanh)
+            d = np.multiply(d, dtanh, out=dtanh)
         gW, gb = grads[k]
         np.matmul(acts[k].T, d, out=gW)
         np.sum(d, axis=0, out=gb)
@@ -122,26 +124,12 @@ class Surrogate:
 
     # -- evaluation ---------------------------------------------------------
 
-    def branch_values(self, inputs: np.ndarray) -> np.ndarray:
-        return _mlp_forward(self.branch_params, np.atleast_2d(inputs))[-1]
-
-    def trunk_values(self, queries: np.ndarray) -> np.ndarray:
-        return _mlp_forward(self.trunk_params, np.atleast_2d(queries))[-1]
-
     def eval(self, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
         """Surrogate outputs, shape (n_samples, n_queries)."""
-        raw = self.branch_values(inputs) @ self.trunk_values(queries).T + self.w[-1]
+        beta = _mlp_forward(self.branch_params, np.atleast_2d(inputs))[-1]
+        tval = _mlp_forward(self.trunk_params, np.atleast_2d(queries))[-1]
+        raw = beta @ tval.T + self.w[-1]
         return self.out_shift + self.out_scale * raw
-
-    def get_weights(self) -> np.ndarray:
-        return self.w.copy()
-
-    def set_weights(self, flat: np.ndarray) -> None:
-        """Copies flat into w in place, so the layer views stay valid."""
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != self.w.shape:
-            raise ValueError(f"expected {self.w.size} weights, got {flat.size}")
-        self.w[:] = flat
 
     # -- persistence ------------------------------------------------------------
 
@@ -153,7 +141,6 @@ class Surrogate:
             "out_shift": self.out_shift,
             "out_scale": self.out_scale,
             "iters_done": self.iters_done,
-            "n_weights": self.w.size,
             "train_log": [[int(i), float(v)] for i, v in self.train_log],
         }
         with open(stem + ".json", "w") as fh:
@@ -187,13 +174,9 @@ def encoder_indices(grid, per_axis: int) -> np.ndarray:
     return (ix[:, None] * grid.ny + iy[None, :]).ravel()
 
 
-def encode(f, node_idx: np.ndarray) -> np.ndarray:
-    """Pointwise readout of a Field at encoder nodes."""
-    return f.values[np.asarray(node_idx, dtype=int)]
-
-
 def encoder_matrix(basis, node_idx: np.ndarray) -> np.ndarray:
-    """Matrix M with encode(sample_field(basis, z)) = z @ M, shape (n_modes, n_enc)."""
+    """Matrix M with sample_field(basis, z).values[node_idx] = z @ M, the
+    pointwise readout of a field at the encoder nodes; shape (n_modes, n_enc)."""
     return basis.weighted_modes[:, np.asarray(node_idx, dtype=int)]
 
 
@@ -300,40 +283,28 @@ class Adam:
         w -= self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
-def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3,
-          batch_size: int | None = None, rng=None, record_every: int = 100) -> Surrogate:
-    """Adam descent on the empirical loss; mutates and returns the surrogate.
+def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3) -> Surrogate:
+    """Full-batch Adam descent on the empirical loss; mutates and returns the
+    surrogate, logging the loss every 100 iterations and at the last.
 
-    Full-batch by default; with batch_size set, entries are shuffled with rng
-    each pass.  The returned weights are checked to not lose ground: final
-    full-set loss must not exceed the starting full-set loss.
+    The returned weights are checked to not lose ground: final full-set loss
+    must not exceed the starting full-set loss.
     """
     if n_iters < 0:
         raise ValueError("n_iters must be >= 0")
     if n_iters == 0:
         return s
-    rng = np.random.default_rng(rng)
     initial = empirical_loss(s, ts)
     opt = Adam(s.w.size, lr)
     # row-major like the residual: batched sensor readings come column-major
     targets = np.ascontiguousarray(ts.targets)
-    order = np.arange(ts.n_entries)
-    cursor = 0
     for it in range(1, n_iters + 1):
-        if batch_size is None or batch_size >= ts.n_entries:
-            idx = slice(None)
-        else:
-            if cursor + batch_size > ts.n_entries:
-                order = rng.permutation(ts.n_entries)
-                cursor = 0
-            idx = order[cursor:cursor + batch_size]
-            cursor += batch_size
-        loss, g = loss_and_grad(s, ts.inputs[idx], targets[idx], ts.queries)
+        loss, g = loss_and_grad(s, ts.inputs, targets, ts.queries)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
         opt.step(s.w, g)
         s.iters_done += 1
-        if it % record_every == 0 or it == n_iters:
+        if it % 100 == 0 or it == n_iters:
             s.train_log.append((s.iters_done, loss))
     final = empirical_loss(s, ts)
     if not np.isfinite(final) or final > initial:
@@ -343,10 +314,9 @@ def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3,
     return s
 
 
-def fine_tune(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 5e-4,
-              **kwargs) -> Surrogate:
+def fine_tune(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 5e-4) -> Surrogate:
     """Warm-start continuation of training on an (extended) set."""
-    return train(s, ts, n_iters, lr=lr, **kwargs)
+    return train(s, ts, n_iters, lr=lr)
 
 
 def write_loss_history(path, s: Surrogate) -> None:

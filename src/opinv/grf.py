@@ -236,12 +236,3 @@ def read_field_bin(path) -> Field:
         raise ValueError(f"{path}: expected {nx * ny} values, found {values.size}")
     return Field(Grid2D(int(nx), int(ny)), values.copy())
 
-
-def write_field_csv(path, f: Field) -> None:
-    # one row per x index, %.17g round-trips float64 exactly
-    np.savetxt(path, f.as_matrix(), delimiter=",", fmt="%.17g")
-
-
-def read_field_csv(path) -> Field:
-    m = np.loadtxt(path, delimiter=",", ndmin=2)
-    return Field(Grid2D(m.shape[0], m.shape[1]), m.ravel())

@@ -18,12 +18,12 @@ import numpy as np
 
 from .adaptive import (
     RefinePolicy,
-    fem_eval_count,
     full_misfits,
     gaussian_pool,
     local_model_error,
     relative_inversion_error,
     run_adaptive,
+    speedup,
 )
 from .config import RunConfig
 from .deeponet import (
@@ -40,7 +40,6 @@ from .forward import EvalLedger, SolverError, forward_map
 from .grf import Field, Grid2D, build_kl_basis, draw_uniform, sample_field, write_field_bin
 from .lintheory import LinearModel, verify_error_bound
 from .observe import (
-    ObservationData,
     SensorArray,
     lattice_sensors,
     misfit,
@@ -196,7 +195,7 @@ def offline_train(cfg: RunConfig, bench: Bench, ledger: EvalLedger):
     surrogate = Surrogate.init(arch, cfg.rng("init"),
                                out_shift=float(targets.mean()),
                                out_scale=scale if scale > 0 else 1.0)
-    train(surrogate, dataset, cfg.offline_iters, lr=1e-3, rng=cfg.rng("train"))
+    train(surrogate, dataset, cfg.offline_iters, lr=1e-3)
     return surrogate, dataset
 
 
@@ -499,10 +498,15 @@ def cmd_report(paths, out_dir=None) -> str:
         elif r["mode"] == "deeponet-adaptive":
             cycles = max(1, int(r["extras"].get("cycles_used", 1)))
             t_fem = int(base["config"]["t_steps"]) if base is not None else 20
-            num = fem_eval_count(int(r["extras"]["n_dim"]), t_fem)
-            formula = f"{num / ((cfgd['q_new'] + cfgd['t_steps']) * cycles):.6g}"
-        e_i = next((row["e_i"] for row in reversed(r["series"])
-                    if row["e_i"] is not None), None)
+            ratio = speedup(int(r["extras"]["n_dim"]), t_fem, cfgd["q_new"],
+                            cfgd["t_steps"], cycles)
+            formula = f"{ratio:.6g}"
+        series = r["series"]
+        if r["mode"] == "deeponet-adaptive":  # at final_r's cycle, like final_e_d
+            e_i = series[r["extras"]["final_cycle"]]["e_i"] if series else None
+        else:
+            e_i = next((row["e_i"] for row in reversed(series)
+                        if row["e_i"] is not None), None)
         rows.append([
             cfgd["problem"], r["mode"],
             "" if e_i is None else f"{e_i:.6g}",

@@ -13,7 +13,7 @@ with a small diagonal floor so the misfit stays defined.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -89,7 +89,6 @@ class ObservationData:
     noise_cov: np.ndarray
     delta: float
     seed: int | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.y_obs = np.asarray(self.y_obs, dtype=float).ravel()

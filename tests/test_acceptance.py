@@ -256,16 +256,16 @@ def test_criterion_6_loss_gradient_finite_differences():
     s.out_shift, s.out_scale = 0.3, 1.7
     _, grad = loss_and_grad(s, U, T, X)
 
-    w0 = s.get_weights()
+    w0 = s.w.copy()
     h = 1e-6
     worst = 0.0
     for i in rng.choice(w0.size, size=20, replace=False):
         wp, wm = w0.copy(), w0.copy()
         wp[i] += h
         wm[i] -= h
-        s.set_weights(wp)
+        s.w[:] = wp
         lp, _ = loss_and_grad(s, U, T, X)
-        s.set_weights(wm)
+        s.w[:] = wm
         lm, _ = loss_and_grad(s, U, T, X)
         fd = (lp - lm) / (2 * h)
         worst = max(worst, abs(grad[i] - fd) / max(abs(fd), 1e-12))

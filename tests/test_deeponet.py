@@ -12,7 +12,6 @@ from opinv.deeponet import (
     TrainingError,
     TrainingSet,
     empirical_loss,
-    encode,
     encoder_indices,
     encoder_matrix,
     fine_tune,
@@ -93,19 +92,9 @@ def test_eval_shape_and_batching():
     np.testing.assert_allclose(out[3], s.eval(U[3:4], X)[0], rtol=1e-14)
 
 
-def test_weight_roundtrip():
-    s = small_surrogate(seed=5)
-    w = s.get_weights()
-    s2 = small_surrogate(seed=6)
-    s2.set_weights(w)
-    np.testing.assert_array_equal(s2.get_weights(), w)
-    with pytest.raises(ValueError):
-        s2.set_weights(w[:-1])
-
-
 def test_init_reproducible():
-    a = small_surrogate(seed=9).get_weights()
-    b = small_surrogate(seed=9).get_weights()
+    a = small_surrogate(seed=9).w
+    b = small_surrogate(seed=9).w
     np.testing.assert_array_equal(a, b)
 
 
@@ -127,20 +116,20 @@ def test_gradient_matches_central_differences():
     s.out_shift, s.out_scale = 0.3, 1.7  # calibration must enter the chain rule
     _, g = loss_and_grad(s, U, T, X)
 
-    w0 = s.get_weights()
+    w0 = s.w.copy()
     h = 1e-6
     idx = rng.choice(w0.size - 1, size=19, replace=False).tolist() + [w0.size - 1]
     for i in idx:
         wp, wm = w0.copy(), w0.copy()
         wp[i] += h
         wm[i] -= h
-        s.set_weights(wp)
+        s.w[:] = wp
         lp, _ = loss_and_grad(s, U, T, X)
-        s.set_weights(wm)
+        s.w[:] = wm
         lm, _ = loss_and_grad(s, U, T, X)
         fd = (lp - lm) / (2 * h)
         assert abs(g[i] - fd) <= 1e-5 * max(1.0, abs(fd)), f"coordinate {i}"
-    s.set_weights(w0)
+    s.w[:] = w0
 
 
 def test_gradient_of_exact_fit_is_zero():
@@ -183,10 +172,10 @@ def test_training_fits_separable_toy_operator():
 
 def test_train_zero_iters_is_identity():
     s = small_surrogate(seed=1)
-    w = s.get_weights()
+    w = s.w.copy()
     ts = TrainingSet(np.zeros((2, 3)), np.ones((2, 2)), np.zeros((2, 2)))
     train(s, ts, 0)
-    np.testing.assert_array_equal(s.get_weights(), w)
+    np.testing.assert_array_equal(s.w, w)
 
 
 def test_train_raises_when_loss_increases():
@@ -196,18 +185,6 @@ def test_train_raises_when_loss_increases():
     s = Surrogate.init(NetArch((2, 4, 2), (1, 4, 2)), np.random.default_rng(21))
     with pytest.raises(TrainingError):
         train(s, ts, 3, lr=50.0)  # absurd step size overshoots immediately
-
-
-def test_minibatch_training_descends():
-    rng = np.random.default_rng(13)
-    U = rng.uniform(-1, 1, size=(30, 2))
-    X = np.linspace(0, 1, 4)[:, None]
-    T = U[:, :1] * np.ones((1, 4))
-    ts = TrainingSet(U, T, X)
-    s = Surrogate.init(NetArch((2, 6, 2), (1, 6, 2)), np.random.default_rng(14))
-    before = empirical_loss(s, ts)
-    train(s, ts, 400, lr=5e-3, batch_size=8, rng=15)
-    assert empirical_loss(s, ts) < before
 
 
 def test_training_is_independent_of_target_layout():
@@ -222,11 +199,11 @@ def test_training_is_independent_of_target_layout():
         s = Surrogate.init(NetArch((2, 6, 3), (2, 6, 3)), np.random.default_rng(17))
         train(s, TrainingSet(U, targets, X), 50, lr=1e-3)
         np.testing.assert_array_equal(targets, T)
-        weights.append(s.get_weights())
+        weights.append(s.w)
     np.testing.assert_array_equal(weights[0], weights[1])
 
 
-def reference_train(params, ts, n_iters, lr, batch_size=None, rng=None):
+def reference_train(params, ts, n_iters, lr):
     """Reference trainer: one (W, b) tuple per layer, packed into a flat
     vector with np.concatenate and stepped by an out-of-place Adam;
     params = [branch layers, trunk layers, bias0], returned updated."""
@@ -261,22 +238,14 @@ def reference_train(params, ts, n_iters, lr, batch_size=None, rng=None):
                 k += W.size + b.size
         return nets + [float(w[k])]
 
-    rng = np.random.default_rng(rng)
     targets = np.ascontiguousarray(ts.targets)
     b1, b2, eps = 0.9, 0.999, 1e-8
     w = pack(*params)
     m, v = np.zeros(w.size), np.zeros(w.size)
-    order, cursor = np.arange(ts.n_entries), 0
     for t in range(1, n_iters + 1):
-        idx = slice(None)
-        if batch_size is not None:
-            if cursor + batch_size > ts.n_entries:
-                order, cursor = rng.permutation(ts.n_entries), 0
-            idx = order[cursor:cursor + batch_size]
-            cursor += batch_size
         branch, trunk, bias0 = params
-        b_acts, t_acts = forward(branch, ts.inputs[idx]), forward(trunk, ts.queries)
-        resid = b_acts[-1] @ t_acts[-1].T + bias0 - targets[idx]
+        b_acts, t_acts = forward(branch, ts.inputs), forward(trunk, ts.queries)
+        resid = b_acts[-1] @ t_acts[-1].T + bias0 - targets
         d_raw = resid * (2.0 / resid.size)
         g = pack(backward(branch, b_acts, d_raw @ t_acts[-1]),
                  backward(trunk, t_acts, d_raw.T @ b_acts[-1]), float(d_raw.sum()))
@@ -296,13 +265,11 @@ def test_flat_in_place_training_matches_per_layer_reference():
     s = Surrogate.init(arch, np.random.default_rng(31))
     w = s.w
     train(s, ts, 50, lr=1e-3)
-    train(s, ts, 20, lr=1e-3, batch_size=6, rng=32)
 
     init = np.random.default_rng(31)
     params = [[(np.sqrt(2.0 / (a + b)) * init.standard_normal((a, b)), np.zeros(b))
                for a, b in zip(widths[:-1], widths[1:])] for widths in (arch.branch, arch.trunk)]
-    params = reference_train(params + [0.0], ts, 50, 1e-3)
-    branch, trunk, bias0 = reference_train(params, ts, 20, 1e-3, batch_size=6, rng=32)
+    branch, trunk, bias0 = reference_train(params + [0.0], ts, 50, 1e-3)
     want = np.concatenate([g.ravel() for layers in (branch, trunk) for W, b in layers
                            for g in (W, b)] + [np.array([bias0])])
     np.testing.assert_array_equal(s.w, want)
@@ -364,6 +331,11 @@ def test_training_set_shape_validation():
 # -- encoder ------------------------------------------------------------------
 
 
+def encode(f, node_idx):
+    """Oracle for encoder_matrix: pointwise readout of a Field at the nodes."""
+    return f.values[np.asarray(node_idx, dtype=int)]
+
+
 def test_encoder_all_nodes_is_identity():
     grid = Grid2D(5, 5)
     idx = encoder_indices(grid, 5)
@@ -398,7 +370,7 @@ def test_checkpoint_roundtrip(tmp_path):
     stem = tmp_path / "net"
     s.save(stem)
     s2 = Surrogate.load(stem)
-    np.testing.assert_array_equal(s2.get_weights(), s.get_weights())
+    np.testing.assert_array_equal(s2.w, s.w)
     assert s2.arch == s.arch
     assert s2.out_shift == s.out_shift and s2.out_scale == s.out_scale
     assert s2.train_log == s.train_log

@@ -12,10 +12,8 @@ from opinv.grf import (
     draw_uniform,
     kl_eigenvalue,
     read_field_bin,
-    read_field_csv,
     sample_field,
     write_field_bin,
-    write_field_csv,
 )
 
 PI = math.pi
@@ -209,16 +207,6 @@ def test_field_bin_roundtrip(tmp_path):
     assert np.array_equal(f2.values, f.values)
     # 16-byte header + 24 doubles
     assert p.stat().st_size == 16 + 24 * 8
-
-
-def test_field_csv_roundtrip(tmp_path):
-    g = Grid2D(5, 7)
-    f = Field(g, np.random.default_rng(4).standard_normal(35))
-    p = tmp_path / "f.csv"
-    write_field_csv(p, f)
-    f2 = read_field_csv(p)
-    assert f2.grid == g
-    assert np.array_equal(f2.values, f.values)
 
 
 def test_read_bin_rejects_truncation(tmp_path):

@@ -222,10 +222,7 @@ def test_fem_mode_series_and_final(bench, fem_record):
 
 def _clone(s):
     """Independent copy so in-place fine-tuning can't leak across tests."""
-    c = harness.Surrogate.init(s.arch, np.random.default_rng(0),
-                               out_shift=s.out_shift, out_scale=s.out_scale)
-    c.set_weights(s.get_weights())
-    return c
+    return harness.Surrogate(s.arch, s.w.copy(), s.out_shift, s.out_scale)
 
 
 def test_direct_mode_uses_no_full_solves(bench, trained):
@@ -383,6 +380,36 @@ def test_cmd_report_deterministic(tmp_path, run_records):
 def test_cmd_report_rejects_empty():
     with pytest.raises(ValueError):
         harness.cmd_report([])
+
+
+def _adaptive_record(out, series, final_cycle):
+    cfg = tiny_cfg(mode="deeponet-adaptive")
+    rec = harness.RunRecord(
+        mode="deeponet-adaptive", config=cfg.to_dict(), seeds={"master": cfg.seed},
+        series=series, counts={"anchor-scan": 9}, timings={"invert_s": 1.0},
+        final_r=[0.0] * 4, final_c_diag=[1.0] * 4,
+        extras={"cycles_used": len(series), "final_cycle": final_cycle,
+                "final_e_d": 10.0, "n_dim": 4})
+    return str(harness.save_record(out, rec))
+
+
+def _report_row(tmp_path, path) -> dict:
+    harness.cmd_report([path], out_dir=tmp_path)
+    (row,) = json.loads((tmp_path / "report.json").read_text())
+    return row
+
+
+def test_cmd_report_reads_adaptive_e_i_at_the_final_cycle(tmp_path):
+    # final_e_d and final_r come from the best cycle (0), so final_e_i must too
+    series = [harness._series_row(0, e_d=10.0, e_i=0.5),
+              harness._series_row(1, e_d=12.0, e_i=1.9)]
+    row = _report_row(tmp_path, _adaptive_record(tmp_path / "two", series, 0))
+    assert (row["final_e_i"], row["final_e_d"]) == ("0.5", "10")
+    # (2*4 + 1) * 20 fem evaluations over (q_new 3 + t_steps 4) * 2 cycles
+    assert row["speedup_formula"] == f"{180 / 14:.6g}"
+
+    row = _report_row(tmp_path, _adaptive_record(tmp_path / "empty", [], 0))
+    assert row["final_e_i"] == ""
 
 
 def test_cmd_verify_linear(tmp_path):
