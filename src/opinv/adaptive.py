@@ -67,9 +67,6 @@ class CycleRecord:
     e_m: float | None
     e_i: float | None
     refined: bool
-    n_anchor_calls: int
-    n_adaptive_calls: int
-    n_diagnostic_calls: int
 
 
 @dataclass
@@ -86,14 +83,6 @@ class AdaptiveRecord:
     @property
     def n_cycles(self) -> int:
         return len(self.cycles)
-
-    def eval_counts(self) -> dict:
-        out = {"anchor-scan": 1, "adaptive-sample": 0, "diagnostic": 0}
-        for c in self.cycles:
-            out["anchor-scan"] += c.n_anchor_calls
-            out["adaptive-sample"] += c.n_adaptive_calls
-            out["diagnostic"] += c.n_diagnostic_calls
-        return out
 
 
 def full_misfits(forward_full, Z, data) -> list:
@@ -234,12 +223,10 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
             break
 
         e_m = None
-        n_diag = 0
         if n_probe > 0:
             probe = gaussian_pool(anchor.r, anchor.C, n_probe, rng)
             e_m = local_model_error(
                 task.surrogate_batch, lambda Z: task.full_forward(Z, "diagnostic"), probe)
-            n_diag = n_probe
         e_i = err_metric(anchor.r) if err_metric is not None else None
 
         wants_refine = should_refine(e_prev, anchor.e, policy.epsilon)
@@ -255,8 +242,7 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
                 applied = False
                 refine_failure = f"error at cycle {t}: {exc}"
 
-        rec = CycleRecord(t, anchor, anchor.e, e_m, e_i, applied,
-                          len(traj), policy.q_new if applied else 0, n_diag)
+        rec = CycleRecord(t, anchor, anchor.e, e_m, e_i, applied)
         record.cycles.append(rec)
         if on_cycle is not None:
             on_cycle(rec)

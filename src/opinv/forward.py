@@ -13,6 +13,12 @@ Four benchmark problems share the grid conventions of :mod:`opinv.grf`:
 * Reaction-diffusion transport of an unknown initial state by a fixed
   divergence-free velocity, zero-flux walls, Crank-Nicolson in time.
 
+Each problem's ``solve_batch`` maps a list of parameters to one state per
+parameter.  Heat-field and reaction-diffusion march the whole batch with
+multi-column solves.  Darcy solves one row at a time, as each field has its
+own matrix.  So does heat-loc: its rows share one matrix, but a multi-column
+sparse solve need not round each column as a single solve does.
+
 Diffusion under Neumann walls and the advection term both use node-centered
 finite-volume stencils (half cells at the walls) whose weighted column sums
 vanish, so the trapezoid-rule mass ``w.T u`` is conserved exactly by the time
@@ -47,6 +53,13 @@ def _each_row(solve, params) -> list:
         except SolverError as err:
             out.append(err)
     return out
+
+
+def _rows(fields: list, grid: Grid2D) -> np.ndarray:
+    """Values of Fields on ``grid``, one row per Field."""
+    if any(f.grid != grid for f in fields):
+        raise ValueError("field grid does not match problem grid")
+    return np.array([f.values for f in fields])
 
 
 # ---------------------------------------------------------------------------
@@ -260,37 +273,6 @@ def _dirichlet_heat_solver(nx: int, ny: int, dt: float):
     return spla.splu(A.tocsc())
 
 
-def march_heat_neumann(grid: Grid2D, u0: np.ndarray, source_at, dt: float,
-                       n_steps: int, snap_steps=()) -> dict:
-    """Backward-Euler march of u_t = lap u + s with zero-flux walls.
-
-    ``source_at(t)`` returns the flat source at time t (or None for no
-    source).  Returns {step: flat values} for the requested snapshot steps,
-    always including the final step.
-    """
-    lu, w = _neumann_heat_solver(grid.nx, grid.ny, dt)
-    snaps = {}
-    u = np.asarray(u0, dtype=float).copy()
-    want = set(snap_steps) | {n_steps}
-    for n in range(1, n_steps + 1):
-        rhs = u.copy()
-        s = source_at(n * dt) if source_at is not None else None
-        if s is not None:
-            rhs += dt * s
-        u = lu.solve(w * rhs)
-        if n in want:
-            snaps[n] = u.copy()
-    return snaps
-
-
-def _batch_values(m, grid: Grid2D):
-    """(values with one row per field, is_batch) of a Field or a list of them."""
-    fields = m if isinstance(m, list) else [m]
-    if any(f.grid != grid for f in fields):
-        raise ValueError("field grid does not match problem grid")
-    return np.array([f.values for f in fields]), isinstance(m, list)
-
-
 @dataclass(frozen=True)
 class HeatSourceLocProblem:
     """Heat equation driven by a Gaussian bump at unknown center chi.
@@ -321,10 +303,13 @@ class HeatSourceLocProblem:
 
 
 def solve_heat_loc(problem: HeatSourceLocProblem, chi) -> tuple:
-    """States at the two observation times for source center chi."""
+    """States at the observation times for source center chi: a
+    backward-Euler march from u = 0 with zero-flux walls, the constant
+    source on for t <= t_cutoff and off afterwards."""
     chi = np.asarray(chi, dtype=float).ravel()
     if chi.size != 2:
         raise ValueError("chi must be a 2-vector")
+    g = problem.grid
     dt = 1.0 / problem.n_steps
     steps = []
     for t in problem.obs_times:
@@ -332,14 +317,17 @@ def solve_heat_loc(problem: HeatSourceLocProblem, chi) -> tuple:
         if abs(k - round(k)) > 1e-9:
             raise ValueError(f"observation time {t} not on a step boundary")
         steps.append(int(round(k)))
-    src = problem.source_values(chi)
-
-    def source_at(t):
-        return src if t <= problem.t_cutoff + 1e-12 else None
-
-    snaps = march_heat_neumann(problem.grid, np.zeros(problem.grid.n_nodes),
-                               source_at, dt, max(steps), snap_steps=steps)
-    return tuple(Field(problem.grid, snaps[k]) for k in steps)
+    src = dt * problem.source_values(chi)
+    lu, w = _neumann_heat_solver(g.nx, g.ny, dt)
+    u = np.zeros(g.n_nodes)
+    snaps = {}
+    for n in range(1, max(steps) + 1):
+        if n * dt <= problem.t_cutoff + 1e-12:
+            u = u + src
+        u = lu.solve(w * u)
+        if n in steps:
+            snaps[n] = u
+    return tuple(Field(g, snaps[k]) for k in steps)
 
 
 @dataclass(frozen=True)
@@ -362,31 +350,21 @@ class HeatSourceFieldProblem:
         return (self.amplitude * np.sin(X) * np.sin(Y)).ravel()
 
     def solve_batch(self, params: list) -> list:
-        """All fields march together."""
-        return solve_heat_field(self, list(params))
-
-
-def solve_heat_field(problem: HeatSourceFieldProblem, m, u0: np.ndarray | None = None):
-    """State at t_final for source field m (u0 override for verification).
-
-    ``m`` may also be a list of Fields, which march together with one
-    multi-column solve per step and return a list of states.  Only the
-    interior part of the initial state enters; the walls hold u = 0.
-    """
-    g = problem.grid
-    M, batch = _batch_values(m, g)
-    dt = problem.t_final / problem.n_steps
-    lu = _dirichlet_heat_solver(g.nx, g.ny, dt)
-    interior = _interior_index(g)
-    start = problem.initial_values() if u0 is None else np.asarray(u0, dtype=float)
-    u = np.broadcast_to(start[interior], (len(M), interior.size)).T
-    M_int = M[:, interior]
-    for n in range(1, problem.n_steps + 1):
-        u = lu.solve(u + dt * (math.exp(-n * dt) * M_int).T)
-    final = np.zeros(M.shape)
-    final[:, interior] = u.T
-    states = [Field(g, row) for row in final]
-    return states if batch else states[0]
+        """State at t_final for each source field; all fields march together
+        with one multi-column solve per step.  Only the interior part of the
+        initial state enters; the walls hold u = 0."""
+        g = self.grid
+        M = _rows(params, g)
+        dt = self.t_final / self.n_steps
+        lu = _dirichlet_heat_solver(g.nx, g.ny, dt)
+        interior = _interior_index(g)
+        u = np.broadcast_to(self.initial_values()[interior], (len(M), interior.size)).T
+        M_int = M[:, interior]
+        for n in range(1, self.n_steps + 1):
+            u = lu.solve(u + dt * (math.exp(-n * dt) * M_int).T)
+        final = np.zeros(M.shape)
+        final[:, interior] = u.T
+        return [Field(g, row) for row in final]
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +393,18 @@ class ReactionDiffusionProblem:
         return v1, v2
 
     def solve_batch(self, params: list) -> list:
-        """All initial states march together."""
-        return solve_reaction_diffusion(self, list(params))
+        """Crank-Nicolson march of each initial state to t_final; all states
+        march together."""
+        g = self.grid
+        M = _rows(params, g)
+        n_steps = self.t_final / self.dt
+        if abs(n_steps - round(n_steps)) > 1e-9:
+            raise ValueError("dt must divide t_final")
+        lu, M_ex = _rd_stepper(g.nx, g.ny, self.kappa, self.dt)
+        u = M.T.copy()
+        for _ in range(int(round(n_steps))):
+            u = lu.solve(M_ex @ u)
+        return [Field(g, col) for col in u.T]
 
 
 @lru_cache(maxsize=8)
@@ -429,25 +417,6 @@ def _rd_stepper(nx: int, ny: int, kappa: float, dt: float):
     M_im = (sp.eye(n) - 0.5 * dt * A).tocsc()
     M_ex = (sp.eye(n) + 0.5 * dt * A).tocsr()
     return spla.splu(M_im), M_ex
-
-
-def solve_reaction_diffusion(problem: ReactionDiffusionProblem, m0):
-    """Crank-Nicolson march of the initial state m0 to t_final.
-
-    ``m0`` may also be a list of Fields, which march together and return a
-    list of states.
-    """
-    g = problem.grid
-    M, batch = _batch_values(m0, g)
-    n_steps = problem.t_final / problem.dt
-    if abs(n_steps - round(n_steps)) > 1e-9:
-        raise ValueError("dt must divide t_final")
-    lu, M_ex = _rd_stepper(g.nx, g.ny, problem.kappa, problem.dt)
-    u = M.T.copy()
-    for _ in range(int(round(n_steps))):
-        u = lu.solve(M_ex @ u)
-    states = [Field(g, col) for col in u.T]
-    return states if batch else states[0]
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,6 @@ def build_kl_basis(
         raise ValueError("tau, sigma and d must be positive")
 
     bound = 4 * math.ceil(math.sqrt(n_modes))
-    if (bound + 1) ** 2 < n_modes:
-        raise ValueError("search block smaller than n_modes")  # unreachable for bound rule
 
     cand = [(k1, k2) for k1 in range(bound + 1) for k2 in range(bound + 1)]
     cand.sort(key=lambda k: (-kl_eigenvalue(k[0], k[1], tau, d, sigma), k[0], k[1]))
@@ -202,11 +200,6 @@ def sample_field(basis: KLBasis, zeta: np.ndarray) -> Field:
     if zeta.size != basis.n_modes:
         raise ValueError(f"zeta length {zeta.size} != n_modes {basis.n_modes}")
     return Field(basis.grid, zeta @ basis.weighted_modes)
-
-
-def draw_prior(n_modes: int, rng) -> np.ndarray:
-    """Draw i.i.d. standard-normal KL coefficients."""
-    return np.random.default_rng(rng).standard_normal(n_modes)
 
 
 def draw_uniform(n_modes: int, rng, low: float = -20.0, high: float = 20.0) -> np.ndarray:

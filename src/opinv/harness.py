@@ -98,7 +98,7 @@ class Bench:
         # what the solver takes: the truth field, or the point parameter
         self.truth = self.truth_param if self.m_ref is None else self.m_ref
         (self.truth_state,) = _solved(self.problem.solve_batch([self.truth]))
-        y_ref = self.readings(self.truth_state)
+        y_ref = self.readings([self.truth_state])[0]
         self.data = synthesize_data(y_ref, cfg.delta, rng=cfg.rng("noise"))
 
     def _time_tagged(self, sensors: SensorArray) -> np.ndarray:
@@ -112,13 +112,13 @@ class Bench:
                 [sensors.locations, np.full(len(sensors.locations), t)]))
         return np.vstack(rows)
 
-    # -- extraction from a solved state or a list of them -------------------
+    # -- extraction from a list of solved states, one row per state ---------
 
-    def readings(self, state) -> np.ndarray:
-        return observe_state(state, self.sensors)
+    def readings(self, states: list) -> np.ndarray:
+        return observe_state(states, self.sensors)
 
-    def targets(self, state) -> np.ndarray:
-        return observe_state(state, self.query_sensors)
+    def targets(self, states: list) -> np.ndarray:
+        return observe_state(states, self.query_sensors)
 
     # -- parameter-space helpers --------------------------------------------
 
@@ -172,7 +172,7 @@ def _solved(states: list) -> list:
 # offline surrogate training
 
 
-def draw_prior_params(cfg: RunConfig, n: int) -> np.ndarray:
+def prior_params(cfg: RunConfig, n: int) -> np.ndarray:
     """n draws from the "prior" stream: a point parameter uniform on the
     chi_box square, standard-normal KL coefficients otherwise."""
     rng = cfg.rng("prior")
@@ -183,7 +183,7 @@ def draw_prior_params(cfg: RunConfig, n: int) -> np.ndarray:
 
 def offline_train(cfg: RunConfig, bench: Bench, ledger: EvalLedger):
     """Draw prior samples, solve the full model for each, train the net."""
-    params = draw_prior_params(cfg, cfg.n_prior)
+    params = prior_params(cfg, cfg.n_prior)
     targets = bench.full_targets(params, ledger, "offline")
     dataset = TrainingSet(bench.encode(params), targets, bench.query_pts,
                           ["prior"] * cfg.n_prior, zetas=params)
@@ -594,7 +594,7 @@ def cmd_sample_prior(cfg: RunConfig, n: int = 4, out_dir=None) -> str:
     cfg = cfg.resolved()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = draw_prior_params(cfg, n)
+    params = prior_params(cfg, n)
     np.savetxt(out / "params.csv", params, delimiter=",", fmt="%.17g")
     if cfg.spec.point is None:
         grid = Grid2D(cfg.grid, cfg.grid)

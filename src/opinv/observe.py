@@ -33,10 +33,6 @@ class SensorArray:
             raise ValueError("sensor locations must lie in the unit square")
         object.__setattr__(self, "locations", loc)
 
-    @property
-    def n_sensors(self) -> int:
-        return self.locations.shape[0]
-
 
 def lattice_sensors(per_axis: int) -> SensorArray:
     """Equidistant interior lattice of per_axis x per_axis sensors."""
@@ -47,11 +43,9 @@ def lattice_sensors(per_axis: int) -> SensorArray:
     return SensorArray(np.column_stack([xx.ravel(), yy.ravel()]))
 
 
-def observe(f, sensors: SensorArray) -> np.ndarray:
-    """Bilinear read-out of a Field at the sensor locations; a list of Fields
-    on one grid reads as a batch, one row per Field, by the same formula."""
-    batch = isinstance(f, list)
-    fields = f if batch else [f]
+def observe(fields: list, sensors: SensorArray) -> np.ndarray:
+    """Bilinear read-out of Fields on one grid at the sensor locations, one
+    row per Field."""
     g = fields[0].grid
     u = np.array([h.as_matrix() for h in fields])
     x = sensors.locations[:, 0]
@@ -60,25 +54,21 @@ def observe(f, sensors: SensorArray) -> np.ndarray:
     iy = np.minimum((y / g.hy).astype(int), g.ny - 2)
     tx = x / g.hx - ix
     ty = y / g.hy - iy
-    out = ((1 - tx) * (1 - ty) * u[:, ix, iy]
-           + tx * (1 - ty) * u[:, ix + 1, iy]
-           + (1 - tx) * ty * u[:, ix, iy + 1]
-           + tx * ty * u[:, ix + 1, iy + 1])
-    return out if batch else out[0]
+    return ((1 - tx) * (1 - ty) * u[:, ix, iy]
+            + tx * (1 - ty) * u[:, ix + 1, iy]
+            + (1 - tx) * ty * u[:, ix, iy + 1]
+            + tx * ty * u[:, ix + 1, iy + 1])
 
 
-def observe_state(state, sensors: SensorArray) -> np.ndarray:
-    """Observation vector of a solver state: a Field or a tuple of snapshots.
+def observe_state(states: list, sensors: SensorArray) -> np.ndarray:
+    """Observation vectors of solver states, one row per state.
 
-    Snapshot tuples concatenate in time order, so a two-time problem with s
-    sensors yields 2 s readings.  A list of states reads as a batch, one row
-    per state.
+    A state is a Field or a tuple of snapshots; snapshots concatenate in time
+    order, so a two-time problem with s sensors yields 2 s readings a row.
     """
-    if isinstance(state, list) and isinstance(state[0], tuple):
-        return np.hstack([observe(list(snaps), sensors) for snaps in zip(*state)])
-    if isinstance(state, tuple):
-        return np.concatenate([observe(f, sensors) for f in state])
-    return observe(state, sensors)
+    if isinstance(states[0], tuple):
+        return np.hstack([observe(list(snaps), sensors) for snaps in zip(*states)])
+    return observe(states, sensors)
 
 
 @dataclass

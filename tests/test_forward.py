@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solveh_banded
 
 from opinv import forward
+from opinv.config import SPECS
 from opinv.forward import (
     DarcyProblem,
     EvalLedger,
@@ -18,14 +19,11 @@ from opinv.forward import (
     darcy_band,
     dirichlet_laplacian,
     forward_map,
-    march_heat_neumann,
     neumann_laplacian,
     solve_darcy,
-    solve_heat_field,
     solve_heat_loc,
-    solve_reaction_diffusion,
 )
-from opinv.grf import Field, Grid2D, build_kl_basis, draw_prior, sample_field
+from opinv.grf import Field, Grid2D, build_kl_basis, sample_field
 
 PI = math.pi
 
@@ -33,6 +31,10 @@ PI = math.pi
 def l2_error(grid, values, exact):
     w = grid.trapezoid_weights()
     return math.sqrt(w @ (values - exact) ** 2)
+
+
+def prior_draw(n, seed):
+    return np.random.default_rng(seed).standard_normal(n)
 
 
 # -- operators ---------------------------------------------------------------
@@ -126,7 +128,7 @@ def test_darcy_banded_source_levels():
 def test_darcy_positive_source_gives_nonnegative_state():
     g = Grid2D(16, 16)
     b = build_kl_basis(g, 16)
-    u = solve_darcy(DarcyProblem(g), sample_field(b, draw_prior(16, 11)))
+    u = solve_darcy(DarcyProblem(g), sample_field(b, prior_draw(16, 11)))
     assert u.values.min() > -1e-10  # discrete maximum principle (M-matrix)
 
 
@@ -135,7 +137,7 @@ def test_darcy_prior_draw_magnitude():
     # in the tens-to-low-hundreds range
     g = Grid2D(70, 70)
     b = build_kl_basis(g, 128)
-    u = solve_darcy(DarcyProblem(g), sample_field(b, draw_prior(128, 0)))
+    u = solve_darcy(DarcyProblem(g), sample_field(b, prior_draw(128, 0)))
     assert 10.0 < u.values.max() < 500.0
 
 
@@ -193,7 +195,7 @@ def _band_to_dense(ab):
 
 def _darcy_case(n, seed):
     g = Grid2D(n, n + 3)
-    return DarcyProblem(g), sample_field(build_kl_basis(g, 16), 2.0 * draw_prior(16, seed))
+    return DarcyProblem(g), sample_field(build_kl_basis(g, 16), 2.0 * prior_draw(16, seed))
 
 
 def test_darcy_band_is_bit_identical_to_coo_assembly():
@@ -220,7 +222,7 @@ def test_darcy_factorization_failure_is_a_solver_error(monkeypatch):
     # place while it solves the other rows
     g = Grid2D(10, 10)
     basis = build_kl_basis(g, 8)
-    Z = np.array([draw_prior(8, s) for s in (1, 2, 3)])
+    Z = np.array([prior_draw(8, s) for s in (1, 2, 3)])
     want = forward_map(DarcyProblem(g), basis, Z)
     bad = darcy_band(DarcyProblem(g), sample_field(basis, Z[1]))
 
@@ -240,7 +242,7 @@ def test_darcy_factorization_failure_is_a_solver_error(monkeypatch):
 
 def test_darcy_residual_check_raises(monkeypatch):
     g = Grid2D(10, 10)
-    m = sample_field(build_kl_basis(g, 8), draw_prior(8, 1))
+    m = sample_field(build_kl_basis(g, 8), prior_draw(8, 1))
     monkeypatch.setattr(forward, "solveh_banded",
                         lambda ab, b, **kw: solveh_banded(ab, b, **kw) * (1 + 1e-8))
     with pytest.raises(SolverError, match="residual"):
@@ -293,40 +295,30 @@ def test_heat_loc_rejects_bad_chi():
         solve_heat_loc(HeatSourceLocProblem(Grid2D(8, 8)), (0.1, 0.2, 0.3))
 
 
-def test_neumann_heat_manufactured_convergence():
-    # u = e^-t cos(pi x) cos(pi y); wall reflection is exact for this mode
-    errs = []
-    for n, steps in ((9, 16), (17, 64)):
-        g = Grid2D(n, n)
-        X, Y = g.mesh()
-        base = (np.cos(PI * X) * np.cos(PI * Y)).ravel()
-        snaps = march_heat_neumann(
-            g, base, lambda t: (2 * PI**2 - 1) * math.exp(-t) * base, 1.0 / steps, steps
-        )
-        errs.append(l2_error(g, snaps[steps], math.exp(-1.0) * base))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
-
-
 # -- heat, source field --------------------------------------------------------
+
+
+class _ManufacturedHeatField(HeatSourceFieldProblem):
+    def initial_values(self):
+        X, Y = self.grid.mesh()
+        return (np.sin(PI * X) * np.sin(PI * Y)).ravel()
 
 
 def test_heat_field_zero_everything():
     g = Grid2D(10, 10)
     p = HeatSourceFieldProblem(g, amplitude=0.0)
-    u = solve_heat_field(p, Field(g, np.zeros(g.n_nodes)))
+    (u,) = p.solve_batch([Field(g, np.zeros(g.n_nodes))])
     assert np.all(u.values == 0.0)
 
 
 def test_heat_field_is_affine_in_m():
     g = Grid2D(10, 10)
-    p = HeatSourceFieldProblem(g, n_steps=20)
+    p = HeatSourceFieldProblem(g, n_steps=20, amplitude=0.0)
     rng = np.random.default_rng(5)
     m1, m2 = rng.standard_normal((2, g.n_nodes))
     z = np.zeros(g.n_nodes)
-    u0 = solve_heat_field(p, Field(g, z), u0=z).values
-    ua = solve_heat_field(p, Field(g, m1 + m2), u0=z).values
-    ub = solve_heat_field(p, Field(g, m1), u0=z).values
-    uc = solve_heat_field(p, Field(g, m2), u0=z).values
+    u0, ua, ub, uc = (u.values for u in p.solve_batch(
+        [Field(g, v) for v in (z, m1 + m2, m1, m2)]))
     assert np.allclose(ua, ub + uc - u0, atol=1e-12)
     assert np.allclose(u0, 0.0)
 
@@ -335,8 +327,8 @@ def test_heat_field_manufactured_single_grid():
     g = Grid2D(17, 17)
     X, Y = g.mesh()
     base = (np.sin(PI * X) * np.sin(PI * Y)).ravel()
-    p = HeatSourceFieldProblem(g, n_steps=64)
-    u = solve_heat_field(p, Field(g, (2 * PI**2 - 1) * base), u0=base)
+    p = _ManufacturedHeatField(g, n_steps=64)
+    (u,) = p.solve_batch([Field(g, (2 * PI**2 - 1) * base)])
     assert l2_error(g, u.values, math.exp(-1.0) * base) < 2e-3
 
 
@@ -345,7 +337,7 @@ def test_heat_field_default_initial_state():
     u0 = p.initial_values().reshape(9, 9)
     assert u0[4, 4] == pytest.approx(100.0 * math.sin(0.5) ** 2)
     # decays under diffusion with zero source
-    u = solve_heat_field(p, Field(p.grid, np.zeros(81)))
+    (u,) = p.solve_batch([Field(p.grid, np.zeros(81))])
     assert 0 < u.values.max() < u0.max()
 
 
@@ -354,7 +346,7 @@ def test_heat_field_default_initial_state():
 
 def test_rd_preserves_constants():
     g = Grid2D(16, 16)
-    u = solve_reaction_diffusion(ReactionDiffusionProblem(g), Field(g, np.full(g.n_nodes, 3.0)))
+    (u,) = ReactionDiffusionProblem(g).solve_batch([Field(g, np.full(g.n_nodes, 3.0))])
     assert np.allclose(u.values, 3.0, atol=1e-10)
 
 
@@ -362,7 +354,7 @@ def test_rd_mass_conservation():
     g = Grid2D(24, 24)
     rng = np.random.default_rng(1)
     m0 = Field(g, rng.standard_normal(g.n_nodes))
-    u = solve_reaction_diffusion(ReactionDiffusionProblem(g), m0)
+    (u,) = ReactionDiffusionProblem(g).solve_batch([m0])
     w = g.trapezoid_weights()
     drift = abs(w @ u.values - w @ m0.values) / abs(w @ m0.values)
     assert drift < 1e-12
@@ -373,9 +365,8 @@ def test_rd_is_linear_in_initial_state():
     p = ReactionDiffusionProblem(g)
     rng = np.random.default_rng(2)
     m1, m2 = rng.standard_normal((2, g.n_nodes))
-    ua = solve_reaction_diffusion(p, Field(g, 2.0 * m1 + m2)).values
-    ub = solve_reaction_diffusion(p, Field(g, m1)).values
-    uc = solve_reaction_diffusion(p, Field(g, m2)).values
+    ua, ub, uc = (u.values for u in p.solve_batch(
+        [Field(g, v) for v in (2.0 * m1 + m2, m1, m2)]))
     assert np.allclose(ua, 2.0 * ub + uc, atol=1e-11)
 
 
@@ -383,7 +374,7 @@ def test_rd_rejects_nondividing_dt():
     g = Grid2D(8, 8)
     p = ReactionDiffusionProblem(g, dt=0.03)
     with pytest.raises(ValueError):
-        solve_reaction_diffusion(p, Field(g, np.ones(64)))
+        p.solve_batch([Field(g, np.ones(64))])
 
 
 # -- forward map + accounting ---------------------------------------------------
@@ -392,7 +383,7 @@ def test_rd_rejects_nondividing_dt():
 def test_forward_map_dispatch_and_ledger():
     g = Grid2D(10, 10)
     basis = build_kl_basis(g, 8)
-    Z = np.array([draw_prior(8, s) for s in (3, 4, 5)])
+    Z = np.array([prior_draw(8, s) for s in (3, 4, 5)])
     led = EvalLedger()
     (u,) = forward_map(DarcyProblem(g), basis, Z[:1], ledger=led, category="offline")
     assert isinstance(u, Field)
@@ -409,33 +400,45 @@ def _max_rel_gap(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-def test_forward_map_matches_direct_solver():
-    # Darcy and heat-loc solve row by row: bit-identical to single solves.
-    # heat-field and reaction-diffusion march the batch with multi-column
-    # solves, which may round differently.
-    g = Grid2D(12, 12)
-    basis = build_kl_basis(g, 8)
-    Z = np.array([draw_prior(8, s) for s in range(5)])
-    fields = [sample_field(basis, z) for z in Z]
+# per-row kernels of the problems that solve one row at a time
+KERNELS = {DarcyProblem: solve_darcy, HeatSourceLocProblem: solve_heat_loc}
 
-    p = DarcyProblem(g)
-    for got, m in zip(forward_map(p, basis, Z), fields):
-        assert np.array_equal(got.values, solve_darcy(p, m).values)
-    p = HeatSourceLocProblem(g, n_steps=20)
-    chis = np.array([(0.3, 0.4), (0.7, 0.2), (0.5, 0.5)])
-    for got, chi in zip(forward_map(p, None, chis), chis):
-        for a, b in zip(got, solve_heat_loc(p, chi)):
-            assert np.array_equal(a.values, b.values)
-    for p, solve in ((HeatSourceFieldProblem(g, n_steps=10), solve_heat_field),
-                     (ReactionDiffusionProblem(g), solve_reaction_diffusion)):
-        for got, m in zip(forward_map(p, basis, Z), fields):
-            assert _max_rel_gap(got.values, solve(p, m).values) <= 1e-12
+
+def _values(state):
+    snaps = state if isinstance(state, tuple) else (state,)
+    return np.concatenate([f.values for f in snaps])
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_forward_map_matches_direct_solver(name):
+    # Darcy and heat-loc solve row by row: bit-identical to their kernel.
+    # heat-field and reaction-diffusion march the batch with multi-column
+    # solves, which may round differently from a batch of one.
+    spec = SPECS[name]
+    p = spec.build(12)
+    if spec.point is None:
+        basis = build_kl_basis(p.grid, 8)
+        Z = np.array([prior_draw(8, s) for s in range(5)])
+        params = [sample_field(basis, z) for z in Z]
+    else:
+        basis = None
+        Z = np.random.default_rng(0).uniform(0.2, 0.8, (5, len(spec.point.truth)))
+        params = list(Z)
+    states = forward_map(p, basis, Z)
+    assert len(states) == 5
+    kernel = KERNELS.get(spec.problem_class)
+    for got, param in zip(states, params):
+        if kernel is not None:
+            assert np.array_equal(_values(got), _values(kernel(p, param)))
+        else:
+            (want,) = p.solve_batch([param])
+            assert _max_rel_gap(_values(got), _values(want)) <= 1e-12
 
 
 def test_forward_map_keeps_a_failed_darcy_row_in_place():
     g = Grid2D(10, 10)
     basis = build_kl_basis(g, 8)
-    Z = np.array([draw_prior(8, 1), np.full(8, 1e4), draw_prior(8, 2)])  # row 1 overflows
+    Z = np.array([prior_draw(8, 1), np.full(8, 1e4), prior_draw(8, 2)])  # row 1 overflows
     led = EvalLedger()
     states = forward_map(DarcyProblem(g), basis, Z, led, "fem-uki")
     assert isinstance(states[1], SolverError)

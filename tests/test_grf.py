@@ -8,7 +8,6 @@ from opinv.grf import (
     Field,
     Grid2D,
     build_kl_basis,
-    draw_prior,
     draw_uniform,
     kl_eigenvalue,
     read_field_bin,
@@ -183,9 +182,8 @@ def test_prior_variance_matches_kl_spectrum():
 
 
 def test_draws_are_reproducible():
-    assert np.array_equal(draw_prior(8, 123), draw_prior(8, 123))
-    assert not np.array_equal(draw_prior(8, 123), draw_prior(8, 124))
     assert np.array_equal(draw_uniform(8, 5), draw_uniform(8, 5))
+    assert not np.array_equal(draw_uniform(8, 5), draw_uniform(8, 6))
 
 
 def test_uniform_draw_range_and_variance():

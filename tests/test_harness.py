@@ -117,8 +117,8 @@ def test_bench_query_geometry_heat_loc():
     assert np.all(b.sensor_queries[:9, 2] == b.obs_times[0])
     assert np.all(b.sensor_queries[9:, 2] == b.obs_times[1])
     state = b.truth_state
-    manual = np.concatenate([observe(f, b.sensors) for f in state])
-    assert np.array_equal(b.readings(state), manual)
+    manual = np.concatenate([observe([f], b.sensors)[0] for f in state])
+    assert np.array_equal(b.readings([state])[0], manual)
 
 
 def test_bench_encode_reads_lattice_nodes(bench):

@@ -22,13 +22,13 @@ from opinv.observe import (
 
 def test_lattice_sensors_interior_positions():
     s = lattice_sensors(6)
-    assert s.n_sensors == 36
+    assert len(s.locations) == 36
     xs = np.unique(s.locations[:, 0])
     assert np.allclose(xs, np.arange(1, 7) / 7.0)
     assert s.locations.min() > 0.0 and s.locations.max() < 1.0
 
     s3 = lattice_sensors(3)
-    assert s3.n_sensors == 9
+    assert len(s3.locations) == 9
     assert np.allclose(np.unique(s3.locations[:, 0]), [0.25, 0.5, 0.75])
 
 
@@ -46,14 +46,14 @@ def test_observe_exact_at_grid_nodes():
     rng = np.random.default_rng(0)
     f = Field(g, rng.standard_normal(25))
     sensors = SensorArray(g.nodes())
-    assert np.allclose(observe(f, sensors), f.values, atol=1e-14)
+    assert np.allclose(observe([f], sensors)[0], f.values, atol=1e-14)
 
 
 def test_observe_bilinear_hand_value():
     g = Grid2D(2, 2)
     # v[i, j] at (x_i, y_j)
     f = Field(g, np.array([1.0, 2.0, 3.0, 4.0]))  # v00, v01, v10, v11
-    got = observe(f, SensorArray(np.array([[0.25, 0.75]])))
+    got = observe([f], SensorArray(np.array([[0.25, 0.75]])))[0]
     want = 0.75 * 0.25 * 1.0 + 0.75 * 0.75 * 2.0 + 0.25 * 0.25 * 3.0 + 0.25 * 0.75 * 4.0
     assert got[0] == pytest.approx(want, rel=1e-14)
 
@@ -62,7 +62,7 @@ def test_observe_constant_field():
     g = Grid2D(9, 9)
     f = Field(g, np.full(81, 2.5))
     s = lattice_sensors(4)
-    assert np.allclose(observe(f, s), 2.5, atol=1e-14)
+    assert np.allclose(observe([f], s), 2.5, atol=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -72,8 +72,8 @@ def test_observe_is_linear(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((2, g.n_nodes))
     s = lattice_sensors(3)
-    lhs = observe(Field(g, a + 2.0 * b), s)
-    rhs = observe(Field(g, a), s) + 2.0 * observe(Field(g, b), s)
+    lhs = observe([Field(g, a + 2.0 * b)], s)[0]
+    rhs = observe([Field(g, a)], s)[0] + 2.0 * observe([Field(g, b)], s)[0]
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -82,10 +82,10 @@ def test_observe_state_concatenates_snapshots():
     f1 = Field(g, np.ones(16))
     f2 = Field(g, 2.0 * np.ones(16))
     s = lattice_sensors(3)
-    y = observe_state((f1, f2), s)
+    y = observe_state([(f1, f2)], s)[0]
     assert y.shape == (18,)
     assert np.allclose(y[:9], 1.0) and np.allclose(y[9:], 2.0)
-    assert np.allclose(observe_state(f1, s), np.ones(9))
+    assert np.allclose(observe_state([f1], s)[0], np.ones(9))
 
 
 def test_batch_readout_rows_equal_single_readouts():
@@ -96,12 +96,12 @@ def test_batch_readout_rows_equal_single_readouts():
     Y = observe(fields, s)
     assert Y.shape == (5, 16)
     for row, f in zip(Y, fields):
-        assert np.array_equal(row, observe(f, s))
+        assert np.array_equal(row, observe([f], s)[0])
     snaps = [(fields[i], fields[i + 1]) for i in range(4)]
     Y = observe_state(snaps, s)
     assert Y.shape == (4, 32)
     for row, state in zip(Y, snaps):
-        assert np.array_equal(row, observe_state(state, s))
+        assert np.array_equal(row, observe_state([state], s)[0])
 
 
 # -- synthesis ----------------------------------------------------------------
