@@ -9,15 +9,17 @@ Four benchmark problems share the grid conventions of :mod:`opinv.grf`:
   Neumann walls, zero initial state, and a Gaussian bump source switched off
   after a cutoff time; the state is kept at two snapshot times.
 * Heat with unknown source field: ``u_t - lap u = exp(-t) m(x)`` with zero
-  Dirichlet walls, fixed oscillatory initial state; state kept at t=1.
+  Dirichlet walls, fixed oscillatory initial state; state kept at t=1,
+  solved in closed form in the sine basis that diagonalizes the Laplacian.
 * Reaction-diffusion transport of an unknown initial state by a fixed
   divergence-free velocity, zero-flux walls, Crank-Nicolson in time.
 
 Each problem's ``solve_batch`` maps a list of parameters to one state per
-parameter.  Heat-field and reaction-diffusion march the whole batch with
-multi-column solves.  Darcy solves one row at a time, as each field has its
-own matrix.  So does heat-loc: its rows share one matrix, but a multi-column
-sparse solve need not round each column as a single solve does.
+parameter.  Heat-field maps the whole batch with a few dense matmuls, and
+reaction-diffusion marches it with multi-column SuperLU solves.  Darcy solves
+one row at a time, as each field has its own matrix.  So does heat-loc: its
+rows share one matrix, but a multi-column sparse solve need not round each
+column as a single solve does.
 
 Diffusion under Neumann walls and the advection term both use node-centered
 finite-volume stencils (half cells at the walls) whose weighted column sums
@@ -28,7 +30,6 @@ steppers up to linear-solver roundoff.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -72,15 +73,6 @@ def _interior_index(grid: Grid2D):
     idx = (np.arange(1, grid.nx - 1)[:, None] * grid.ny + np.arange(1, grid.ny - 1)).ravel()
     idx.flags.writeable = False
     return idx
-
-
-def dirichlet_laplacian(grid: Grid2D) -> sp.csr_matrix:
-    """5-point Laplacian on interior nodes; boundary values are pinned to 0."""
-    nx, ny = grid.nx - 2, grid.ny - 2
-    ex, ey = np.ones(nx), np.ones(ny)
-    d2x = sp.diags([ex[:-1], -2 * ex, ex[:-1]], [-1, 0, 1]) / grid.hx**2
-    d2y = sp.diags([ey[:-1], -2 * ey, ey[:-1]], [-1, 0, 1]) / grid.hy**2
-    return (sp.kron(d2x, sp.eye(ny)) + sp.kron(sp.eye(nx), d2y)).tocsr()
 
 
 def _stiffness_1d(n: int, h: float) -> sp.csr_matrix:
@@ -265,14 +257,6 @@ def _neumann_heat_solver(nx: int, ny: int, dt: float):
     return spla.splu((D + dt * K).tocsc()), g.trapezoid_weights()
 
 
-@lru_cache(maxsize=16)
-def _dirichlet_heat_solver(nx: int, ny: int, dt: float):
-    g = Grid2D(nx, ny)
-    L = dirichlet_laplacian(g)
-    A = sp.eye(L.shape[0], format="csc") - dt * L
-    return spla.splu(A.tocsc())
-
-
 @dataclass(frozen=True)
 class HeatSourceLocProblem:
     """Heat equation driven by a Gaussian bump at unknown center chi.
@@ -336,7 +320,8 @@ class HeatSourceFieldProblem:
 
     The nominal initial state is ``amplitude sin(x) sin(y)`` (radians, no pi
     factor); because it does not vanish at the walls, it is imposed at the
-    interior nodes while the walls hold u = 0 for t > 0.
+    interior nodes while the walls hold u = 0 for t > 0.  The n_steps
+    backward-Euler steps are solved in closed form (``_heat_field_map``).
     """
 
     grid: Grid2D
@@ -350,21 +335,41 @@ class HeatSourceFieldProblem:
         return (self.amplitude * np.sin(X) * np.sin(Y)).ravel()
 
     def solve_batch(self, params: list) -> list:
-        """State at t_final for each source field; all fields march together
-        with one multi-column solve per step.  Only the interior part of the
-        initial state enters; the walls hold u = 0."""
+        """State at t_final for each source field m: ``q + Sx (b * (Sx.T m
+        Sy)) Sy.T`` on the interior nodes; the walls hold u = 0."""
         g = self.grid
-        M = _rows(params, g)
-        dt = self.t_final / self.n_steps
-        lu = _dirichlet_heat_solver(g.nx, g.ny, dt)
-        interior = _interior_index(g)
-        u = np.broadcast_to(self.initial_values()[interior], (len(M), interior.size)).T
-        M_int = M[:, interior]
-        for n in range(1, self.n_steps + 1):
-            u = lu.solve(u + dt * (math.exp(-n * dt) * M_int).T)
-        final = np.zeros(M.shape)
-        final[:, interior] = u.T
-        return [Field(g, row) for row in final]
+        b, q, Sx, Sy = _heat_field_map(self)
+        M = _rows(params, g).reshape(-1, g.nx, g.ny)[:, 1:-1, 1:-1]
+        final = np.zeros((len(M), g.nx, g.ny))
+        final[:, 1:-1, 1:-1] = q + Sx @ (b * (Sx.T @ M @ Sy)) @ Sy.T
+        return [Field(g, row) for row in final.reshape(len(M), -1)]
+
+
+def _sine_modes(n: int):
+    """(S, lam): orthonormal sine matrix of an axis' n interior nodes and the
+    eigenvalues of its Dirichlet second difference, -S diag(lam) S.T."""
+    k = np.arange(1, n + 1)
+    S = math.sqrt(2.0 / (n + 1)) * np.sin(math.pi * np.outer(k, k) / (n + 1))
+    return S, (2 * (n + 1) * np.sin(math.pi * k / (2 * (n + 1)))) ** 2
+
+
+@lru_cache(maxsize=16)
+def _heat_field_map(problem: HeatSourceFieldProblem):
+    """(b, q, Sx, Sy): a step ``u <- (I - dt L)^-1 (u + dt exp(-n dt) m)``
+    scales sine mode (i, j) by ``1 / (1 + dt (lam_x_i + lam_y_j))``, so b is
+    each mode's gain on m over the march and q the interior state that the
+    initial values alone reach.  Keyed on the problem, not its grid, as a
+    subclass may override initial_values."""
+    g = problem.grid
+    (Sx, lx), (Sy, ly) = _sine_modes(g.nx - 2), _sine_modes(g.ny - 2)
+    dt = problem.t_final / problem.n_steps
+    step = 1.0 / (1.0 + dt * (lx[:, None] + ly[None, :]))
+    u = Sx.T @ problem.initial_values().reshape(g.nx, g.ny)[1:-1, 1:-1] @ Sy
+    b = np.zeros_like(step)
+    for n in range(1, problem.n_steps + 1):
+        u *= step
+        b = step * (b + dt * math.exp(-n * dt))
+    return b, Sx @ u @ Sy.T, Sx, Sy
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +421,8 @@ def _rd_stepper(nx: int, ny: int, kappa: float, dt: float):
     n = g.n_nodes
     M_im = (sp.eye(n) - 0.5 * dt * A).tocsc()
     M_ex = (sp.eye(n) + 0.5 * dt * A).tocsr()
-    return spla.splu(M_im), M_ex
+    # symmetric pattern: order on A + A.T (less fill than the default COLAMD)
+    return spla.splu(M_im, permc_spec="MMD_AT_PLUS_A"), M_ex
 
 
 # ---------------------------------------------------------------------------
@@ -424,27 +430,20 @@ def _rd_stepper(nx: int, ny: int, kappa: float, dt: float):
 
 
 class EvalLedger:
-    """Thread-safe tally of full-order forward evaluations by category."""
+    """Tally of full-order forward evaluations by category."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._counts: dict[str, int] = {}
 
     def add(self, category: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[category] = self._counts.get(category, 0) + n
-
-    def count(self, category: str) -> int:
-        return self._counts.get(category, 0)
+        self._counts[category] = self._counts.get(category, 0) + n
 
     @property
     def counts(self) -> dict:
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     def total(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
+        return sum(self._counts.values())
 
 
 def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = None,

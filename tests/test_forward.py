@@ -17,7 +17,6 @@ from opinv.forward import (
     SolverError,
     advection_operator,
     darcy_band,
-    dirichlet_laplacian,
     forward_map,
     neumann_laplacian,
     solve_darcy,
@@ -65,6 +64,16 @@ def test_rotating_velocity_is_discretely_divergence_free():
     # v1 = sin(pi x) cos(pi y), v2 = -cos(pi x) sin(pi y): central differences
     # of the two flux components cancel exactly, including at the walls
     assert np.abs(A @ np.ones(g.n_nodes)).max() < 1e-12
+
+
+def dirichlet_laplacian(grid):
+    """Oracle for the heat-field operator: 5-point Laplacian on the interior
+    nodes (x-major), boundary values pinned to 0."""
+    nx, ny = grid.nx - 2, grid.ny - 2
+    ex, ey = np.ones(nx), np.ones(ny)
+    d2x = sp.diags([ex[:-1], -2 * ex, ex[:-1]], [-1, 0, 1]) / grid.hx**2
+    d2y = sp.diags([ey[:-1], -2 * ey, ey[:-1]], [-1, 0, 1]) / grid.hy**2
+    return (sp.kron(d2x, sp.eye(ny)) + sp.kron(sp.eye(nx), d2y)).tocsr()
 
 
 def test_dirichlet_laplacian_matches_sine_eigenfunction():
@@ -332,6 +341,55 @@ def test_heat_field_manufactured_single_grid():
     assert l2_error(g, u.values, math.exp(-1.0) * base) < 2e-3
 
 
+def _heat_field_by_splu_march(p, M):
+    """Reference: the backward-Euler march (I - dt L) u_n = u_{n-1} + dt
+    exp(-n dt) m on the interior nodes, one SuperLU solve per step."""
+    g = p.grid
+    L = dirichlet_laplacian(g)
+    dt = p.t_final / p.n_steps
+    lu = spla.splu((sp.eye(L.shape[0]) - dt * L).tocsc())
+    interior = np.zeros((g.nx, g.ny), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    interior = interior.ravel()
+    u = np.tile(p.initial_values()[interior], (len(M), 1)).T
+    for n in range(1, p.n_steps + 1):
+        u = lu.solve(u + dt * math.exp(-n * dt) * M[:, interior].T)
+    final = np.zeros(M.shape)
+    final[:, interior] = u.T
+    return final
+
+
+def _heat_field_gap(p, n_rows, seed):
+    M = np.random.default_rng(seed).standard_normal((n_rows, p.grid.n_nodes))
+    got = np.array([u.values for u in p.solve_batch([Field(p.grid, m) for m in M])])
+    return _max_rel_gap(got, _heat_field_by_splu_march(p, M))
+
+
+@pytest.mark.parametrize("nx, ny, n_rows", [(9, 9, 7), (24, 24, 7), (13, 17, 7),
+                                            (3, 3, 7), (70, 70, 3)])
+def test_heat_field_matches_splu_march(nx, ny, n_rows):
+    # 13x17 has hx != hy; 3x3 has one interior node
+    assert _heat_field_gap(HeatSourceFieldProblem(Grid2D(nx, ny)), n_rows, nx) <= 1e-12
+
+
+def test_heat_field_map_is_cached_per_problem():
+    # problems on one grid that differ in amplitude, n_steps or t_final, and a
+    # subclass with its own initial state, each match their own march
+    g = Grid2D(11, 11)
+    problems = [HeatSourceFieldProblem(g), HeatSourceFieldProblem(g, amplitude=-3.0),
+                HeatSourceFieldProblem(g, n_steps=7), HeatSourceFieldProblem(g, t_final=0.3),
+                _ManufacturedHeatField(g)]
+    for seed, p in enumerate(problems + problems):  # second pass reads the cache
+        assert _heat_field_gap(p, 3, seed) <= 1e-12
+    # the subclass's q, cached beside its parent's, is its own start decayed:
+    # one sine mode, scaled by 1 / (1 + dt lam) a step, lam summed over both axes
+    q_child = forward._heat_field_map(_ManufacturedHeatField(g))[1]
+    X, Y = g.mesh()
+    start = (np.sin(PI * X) * np.sin(PI * Y))[1:-1, 1:-1]
+    lam = 4 * (1 - math.cos(PI * g.hx)) / g.hx**2
+    assert np.allclose(q_child, start * (1 + lam / 50) ** -50, rtol=1e-12, atol=0)
+
+
 def test_heat_field_default_initial_state():
     p = HeatSourceFieldProblem(Grid2D(9, 9))
     u0 = p.initial_values().reshape(9, 9)
@@ -454,19 +512,3 @@ def test_forward_map_rejects_unknown_problem():
     with pytest.raises(ValueError):
         forward_map(HeatSourceLocProblem(Grid2D(6, 6)), None, np.zeros(2))
 
-
-def test_ledger_thread_safety():
-    import threading
-
-    led = EvalLedger()
-
-    def bump():
-        for _ in range(1000):
-            led.add("x")
-
-    threads = [threading.Thread(target=bump) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert led.count("x") == 8000
