@@ -158,9 +158,10 @@ def local_model_error(surrogate_map, forward_full, samples: np.ndarray) -> float
 
 
 def relative_inversion_error(m_hat, m_ref) -> float:
-    """l2 error of the estimate relative to the reference, on node values."""
-    a = np.asarray(getattr(m_hat, "values", m_hat), dtype=float)
-    b = np.asarray(getattr(m_ref, "values", m_ref), dtype=float)
+    """l2 error of the estimate relative to the reference: arrays of node
+    values, or point parameters."""
+    a = np.asarray(m_hat, dtype=float)
+    b = np.asarray(m_ref, dtype=float)
     nb = np.linalg.norm(b)
     if nb == 0.0:
         raise ValueError("zero reference")

@@ -32,8 +32,10 @@ class PointParam:
 @dataclass(frozen=True)
 class ProblemSpec:
     """Everything that sets one benchmark problem apart.  The class has a
-    ``solve_batch(params)`` method and an ``obs_times`` tuple (empty for a
-    single state); ``desk`` and ``paper`` are the preset's RunConfig deltas."""
+    ``solve_batch(P)`` method, a (B, n) parameter array to a float array of
+    states with one row per parameter (NaN where a solve failed), and an
+    ``obs_times`` tuple (empty for a single state); ``desk`` and ``paper``
+    are the preset's RunConfig deltas."""
 
     problem_class: type
     point: PointParam | None = None  # None: KL coefficients realized on a basis

@@ -14,8 +14,10 @@ Four benchmark problems share the grid conventions of :mod:`opinv.grf`:
 * Reaction-diffusion transport of an unknown initial state by a fixed
   divergence-free velocity, zero-flux walls, Crank-Nicolson in time.
 
-Each problem's ``solve_batch`` maps a list of parameters to one state per
-parameter.  Heat-field maps the whole batch with a few dense matmuls, and
+Each problem's ``solve_batch`` maps a (B, n) array of parameters to a float
+array of states, one row per parameter: (B, n_nodes), or (B, len(obs_times),
+n_nodes) for a problem that keeps snapshots.  A solve that fails leaves its
+row NaN.  Heat-field maps the whole batch with a few dense matmuls, and
 reaction-diffusion marches it with multi-column SuperLU solves.  Darcy solves
 one row at a time, as each field has its own matrix.  So does heat-loc: its
 rows share one matrix, but a multi-column sparse solve need not round each
@@ -31,36 +33,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solveh_banded
 
-from opinv.grf import Field, Grid2D, KLBasis, sample_field
+from opinv.grf import Grid2D, KLBasis, sample_field
 
 
 class SolverError(RuntimeError):
     """A linear solve failed or produced an untrustworthy solution."""
 
 
-def _each_row(solve, params) -> list:
-    """Solve one parameter at a time; a failed solve leaves its SolverError."""
-    out = []
-    for p in params:
-        try:
-            out.append(solve(p))
-        except SolverError as err:
-            out.append(err)
-    return out
-
-
-def _rows(fields: list, grid: Grid2D) -> np.ndarray:
-    """Values of Fields on ``grid``, one row per Field."""
-    if any(f.grid != grid for f in fields):
-        raise ValueError("field grid does not match problem grid")
-    return np.array([f.values for f in fields])
+def _rows(P, grid: Grid2D) -> np.ndarray:
+    """A (B, n_nodes) batch of nodal values on ``grid``, one field per row."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] != grid.n_nodes:
+        raise ValueError(f"expected a (B, {grid.n_nodes}) batch, got shape {P.shape}")
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +101,15 @@ def neumann_laplacian(grid: Grid2D) -> sp.csr_matrix:
     return (-sp.diags(winv) @ K).tocsr()
 
 
+def _face_flux_1d(n: int) -> sp.dia_matrix:
+    """Net outflow of each of n nodes on a line, given nodal flux densities:
+    a face carries the mean of its two nodes' densities, and the walls carry
+    none."""
+    diag = np.zeros(n)
+    diag[0], diag[-1] = 0.5, -0.5
+    return sp.diags([np.full(n - 1, -0.5), diag, np.full(n - 1, 0.5)], [-1, 0, 1])
+
+
 def advection_operator(grid: Grid2D, v1: np.ndarray, v2: np.ndarray) -> sp.csr_matrix:
     """Conservative central discretization of u -> div(v u) on all nodes.
 
@@ -116,35 +117,10 @@ def advection_operator(grid: Grid2D, v1: np.ndarray, v2: np.ndarray) -> sp.csr_m
     fluxes are dropped, which is exact when v is tangential at the walls.
     Weighted column sums vanish, so w.T A = 0 exactly.
     """
-    nx, ny = grid.nx, grid.ny
-    wx, wy = _weights_1d(nx, grid.hx), _weights_1d(ny, grid.hy)
-    rows, cols, vals = [], [], []
-
-    def idx(i, j):
-        return i * ny + j
-
-    # x-faces between (i, j) and (i+1, j); face length wy_j
-    for i in range(nx - 1):
-        for j in range(ny):
-            c = 0.5 * wy[j]
-            a, b = idx(i, j), idx(i + 1, j)
-            for node, vel in ((a, v1[i, j]), (b, v1[i + 1, j])):
-                rows += [a, b]
-                cols += [node, node]
-                vals += [c * vel, -c * vel]
-    # y-faces between (i, j) and (i, j+1); face length wx_i
-    for i in range(nx):
-        for j in range(ny - 1):
-            c = 0.5 * wx[i]
-            a, b = idx(i, j), idx(i, j + 1)
-            for node, vel in ((a, v2[i, j]), (b, v2[i, j + 1])):
-                rows += [a, b]
-                cols += [node, node]
-                vals += [c * vel, -c * vel]
-
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
-    winv = 1.0 / grid.trapezoid_weights()
-    return (sp.diags(winv) @ A).tocsr()
+    wx, wy = _weights_1d(grid.nx, grid.hx), _weights_1d(grid.ny, grid.hy)
+    A = (sp.kron(_face_flux_1d(grid.nx), sp.diags(wy)) @ sp.diags(np.ravel(v1))
+         + sp.kron(sp.diags(wx), _face_flux_1d(grid.ny)) @ sp.diags(np.ravel(v2)))
+    return (sp.diags(1.0 / grid.trapezoid_weights()) @ A).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +141,17 @@ class DarcyProblem:
     edges: tuple = (4.0 / 6.0, 5.0 / 6.0)
     obs_times = ()  # one state, the steady solution
 
-    def solve_batch(self, params: list) -> list:
-        """One banded Cholesky solve per field; a failed solve leaves its
-        SolverError in place of a state."""
-        return _each_row(partial(solve_darcy, self), params)
+    def solve_batch(self, P) -> np.ndarray:
+        """(B, n_nodes) states of a (B, n_nodes) batch of log-conductivities:
+        one banded Cholesky solve per row; a failed solve leaves its row NaN."""
+        P = _rows(P, self.grid)
+        U = np.full(P.shape, np.nan)
+        for u, m in zip(U, P):
+            try:
+                u[:] = solve_darcy(self, m)
+            except SolverError:
+                pass
+        return U
 
     def source_values(self) -> np.ndarray:
         _, Y = self.grid.mesh()
@@ -185,23 +168,21 @@ class DarcyProblem:
         return b
 
 
-def darcy_band(problem: DarcyProblem, m: Field) -> np.ndarray:
+def darcy_band(problem: DarcyProblem, m: np.ndarray) -> np.ndarray:
     """Upper band storage (LAPACK "U", shape (ny-1, (nx-2)(ny-2)), x-major)
-    of the interior 5-point system for log-conductivity m: row ny-2 holds
+    of the interior 5-point system for nodal log-conductivity m: row ny-2 holds
     the diagonal, row ny-3 the north/south couplings at offset 1 (zero where
     an x-line starts), row 0 the east/west couplings at offset ny-2.  Faces
     take the harmonic mean of exp(m); raises SolverError if one is not finite.
     """
     g = problem.grid
-    if m.grid != g:
-        raise ValueError("field grid does not match problem grid")
 
     def harm(p, q):
         return 2.0 * p * q / (p + q)
 
     # past exp(m) ~ 1e154, 2pq overflows (inf) or p + q too (inf/inf = NaN)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.exp(m.as_matrix())
+        a = np.exp(np.reshape(m, (g.nx, g.ny)))
         ax = harm(a[:-1, :], a[1:, :])  # face (i,j)-(i+1,j), shape (nx-1, ny)
         ay = harm(a[:, :-1], a[:, 1:])  # face (i,j)-(i,j+1), shape (nx, ny-1)
     if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
@@ -220,10 +201,10 @@ def darcy_band(problem: DarcyProblem, m: Field) -> np.ndarray:
     return ab
 
 
-def solve_darcy(problem: DarcyProblem, m: Field) -> Field:
-    """Solve the Darcy problem for log-conductivity m: a banded Cholesky
-    (LAPACK ``pbsv``) of ``darcy_band``; raises SolverError if it is not
-    positive definite or leaves a relative residual above 1e-10."""
+def solve_darcy(problem: DarcyProblem, m: np.ndarray) -> np.ndarray:
+    """Nodal state of the Darcy problem for nodal log-conductivity m: a banded
+    Cholesky (LAPACK ``pbsv``) of ``darcy_band``; raises SolverError if it is
+    not positive definite or leaves a relative residual above 1e-10."""
     g = problem.grid
     ab = darcy_band(problem, m)
     b = problem.interior_source
@@ -242,7 +223,7 @@ def solve_darcy(problem: DarcyProblem, m: Field) -> Field:
         raise SolverError(f"Darcy solve residual {res:.3e} above 1e-10")
     u = np.zeros(g.n_nodes)
     u[_interior_index(g)] = u_int
-    return Field(g, u)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +262,16 @@ class HeatSourceLocProblem:
         amp = self.strength / (2.0 * math.pi * self.width**2)
         return (amp * np.exp(-r2 / (2.0 * self.width**2))).ravel()
 
-    def solve_batch(self, params) -> list:
-        """One snapshot tuple per center chi, solved one at a time."""
-        return _each_row(partial(solve_heat_loc, self), params)
+    def solve_batch(self, P) -> np.ndarray:
+        """(B, len(obs_times), n_nodes) snapshots of a (B, 2) batch of
+        centers chi, solved one at a time."""
+        return np.array([solve_heat_loc(self, chi) for chi in P])
 
 
-def solve_heat_loc(problem: HeatSourceLocProblem, chi) -> tuple:
-    """States at the observation times for source center chi: a
-    backward-Euler march from u = 0 with zero-flux walls, the constant
-    source on for t <= t_cutoff and off afterwards."""
+def solve_heat_loc(problem: HeatSourceLocProblem, chi) -> np.ndarray:
+    """(len(obs_times), n_nodes) states at the observation times for source
+    center chi: a backward-Euler march from u = 0 with zero-flux walls, the
+    constant source on for t <= t_cutoff and off afterwards."""
     chi = np.asarray(chi, dtype=float).ravel()
     if chi.size != 2:
         raise ValueError("chi must be a 2-vector")
@@ -311,7 +293,7 @@ def solve_heat_loc(problem: HeatSourceLocProblem, chi) -> tuple:
         u = lu.solve(w * u)
         if n in steps:
             snaps[n] = u
-    return tuple(Field(g, snaps[k]) for k in steps)
+    return np.array([snaps[k] for k in steps])
 
 
 @dataclass(frozen=True)
@@ -334,15 +316,16 @@ class HeatSourceFieldProblem:
         X, Y = self.grid.mesh()
         return (self.amplitude * np.sin(X) * np.sin(Y)).ravel()
 
-    def solve_batch(self, params: list) -> list:
-        """State at t_final for each source field m: ``q + Sx (b * (Sx.T m
-        Sy)) Sy.T`` on the interior nodes; the walls hold u = 0."""
+    def solve_batch(self, P) -> np.ndarray:
+        """(B, n_nodes) states at t_final of a (B, n_nodes) batch of source
+        fields m: ``q + Sx (b * (Sx.T m Sy)) Sy.T`` on the interior nodes;
+        the walls hold u = 0."""
         g = self.grid
         b, q, Sx, Sy = _heat_field_map(self)
-        M = _rows(params, g).reshape(-1, g.nx, g.ny)[:, 1:-1, 1:-1]
+        M = _rows(P, g).reshape(-1, g.nx, g.ny)[:, 1:-1, 1:-1]
         final = np.zeros((len(M), g.nx, g.ny))
         final[:, 1:-1, 1:-1] = q + Sx @ (b * (Sx.T @ M @ Sy)) @ Sy.T
-        return [Field(g, row) for row in final.reshape(len(M), -1)]
+        return final.reshape(len(M), -1)
 
 
 def _sine_modes(n: int):
@@ -397,11 +380,11 @@ class ReactionDiffusionProblem:
         v2 = -np.cos(math.pi * X) * np.sin(math.pi * Y)
         return v1, v2
 
-    def solve_batch(self, params: list) -> list:
-        """Crank-Nicolson march of each initial state to t_final; all states
-        march together."""
+    def solve_batch(self, P) -> np.ndarray:
+        """(B, n_nodes) states at t_final of a (B, n_nodes) batch of initial
+        states: a Crank-Nicolson march of all rows together."""
         g = self.grid
-        M = _rows(params, g)
+        M = _rows(P, g)
         n_steps = self.t_final / self.dt
         if abs(n_steps - round(n_steps)) > 1e-9:
             raise ValueError("dt must divide t_final")
@@ -409,7 +392,7 @@ class ReactionDiffusionProblem:
         u = M.T.copy()
         for _ in range(int(round(n_steps))):
             u = lu.solve(M_ex @ u)
-        return [Field(g, col) for col in u.T]
+        return u.T
 
 
 @lru_cache(maxsize=8)
@@ -447,12 +430,13 @@ class EvalLedger:
 
 
 def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = None,
-                category: str = "forward") -> list:
-    """Full-order parameter-to-state map on a (B, n) batch: one state per
-    row, from ``problem.solve_batch``, and one ledger tick per row, failed
-    rows included.  Rows are KL coefficients realized on ``basis``, one
-    ``z @ W`` per row, or with ``basis`` None parameters used as is (such as
-    heat-loc's source centers)."""
+                category: str = "forward") -> np.ndarray:
+    """Full-order parameter-to-state map on a (B, n) batch: the states of
+    ``problem.solve_batch``, one row per row of Z and NaN where a solve
+    failed, and one ledger tick per row, failed rows included.  Rows are KL
+    coefficients realized on ``basis``, one ``z @ W`` per row, or with
+    ``basis`` None parameters used as is (such as heat-loc's source
+    centers)."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
         raise ValueError(f"parameter batch must be (B, n), got shape {Z.shape}")
@@ -460,4 +444,6 @@ def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = N
         raise TypeError(f"unknown problem type {type(problem).__name__}")
     if ledger is not None:
         ledger.add(category, len(Z))
-    return problem.solve_batch(Z if basis is None else [sample_field(basis, z) for z in Z])
+    if basis is not None:
+        Z = np.array([sample_field(basis, z).values for z in Z])
+    return problem.solve_batch(Z)

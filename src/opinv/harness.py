@@ -95,10 +95,10 @@ class Bench:
         self.query_pts = self._time_tagged(self.query_sensors)
 
         self.truth_param, self.m_ref = make_truth(cfg, self.grid)
-        # what the solver takes: the truth field, or the point parameter
-        self.truth = self.truth_param if self.m_ref is None else self.m_ref
-        (self.truth_state,) = _solved(self.problem.solve_batch([self.truth]))
-        y_ref = self.readings([self.truth_state])[0]
+        # what the solver takes: the truth field's values, or the point parameter
+        self.truth = self.truth_param if self.m_ref is None else self.m_ref.values
+        (self.truth_state,) = _solved(self.problem.solve_batch(self.truth[None]))
+        y_ref = self.readings(self.truth_state[None])[0]
         self.data = synthesize_data(y_ref, cfg.delta, rng=cfg.rng("noise"))
 
     def _time_tagged(self, sensors: SensorArray) -> np.ndarray:
@@ -112,13 +112,13 @@ class Bench:
                 [sensors.locations, np.full(len(sensors.locations), t)]))
         return np.vstack(rows)
 
-    # -- extraction from a list of solved states, one row per state ---------
+    # -- extraction from a batch of solved states, one row per state --------
 
-    def readings(self, states: list) -> np.ndarray:
-        return observe_state(states, self.sensors)
+    def readings(self, states: np.ndarray) -> np.ndarray:
+        return observe_state(states, self.grid, self.sensors)
 
-    def targets(self, states: list) -> np.ndarray:
-        return observe_state(states, self.query_sensors)
+    def targets(self, states: np.ndarray) -> np.ndarray:
+        return observe_state(states, self.grid, self.query_sensors)
 
     # -- parameter-space helpers --------------------------------------------
 
@@ -134,7 +134,7 @@ class Bench:
         return sample_field(self.basis, z)
 
     def inversion_error(self, z) -> float:
-        estimate = np.asarray(z) if self.basis is None else self.field_of(z)
+        estimate = np.asarray(z) if self.basis is None else self.field_of(z).values
         return relative_inversion_error(estimate, self.truth)
 
     def initial_state(self) -> GaussianState:
@@ -146,25 +146,21 @@ class Bench:
     def full_forward(self, Z, ledger=None, category="forward") -> np.ndarray:
         """Full-order readings, one row per row of Z.  A row whose solve
         failed reads NaN: UKI truncates on it, the anchor scan scores it inf."""
-        states = forward_map(self.problem, self.basis, Z, ledger, category)
-        ok = [i for i, s in enumerate(states) if not isinstance(s, SolverError)]
-        Y = np.full((len(states), self.data.n_obs), np.nan)
-        if ok:
-            Y[ok] = self.readings([states[i] for i in ok])
-        return Y
+        return self.readings(forward_map(self.problem, self.basis, Z, ledger, category))
 
     def full_targets(self, Z, ledger, category) -> np.ndarray:
-        """Full-order training targets, one row per row of Z; raises the
-        first SolverError, so no NaN target enters a training set."""
+        """Full-order training targets, one row per row of Z; raises
+        SolverError if a solve failed, so no NaN target enters a training set."""
         return self.targets(_solved(forward_map(self.problem, self.basis, Z, ledger,
                                                 category)))
 
 
-def _solved(states: list) -> list:
-    """The states of a batch that must all succeed; raises the first failure."""
-    for s in states:
-        if isinstance(s, SolverError):
-            raise s
+def _solved(states: np.ndarray) -> np.ndarray:
+    """A batch of states that must all succeed; raises SolverError naming
+    the rows that are not finite."""
+    bad = np.flatnonzero(~np.isfinite(states.reshape(len(states), -1)).all(axis=1))
+    if bad.size:
+        raise SolverError(f"full-order solve failed for batch rows {bad.tolist()}")
     return states
 
 
@@ -578,10 +574,8 @@ def cmd_solve_forward(cfg: RunConfig, out_dir=None) -> str:
     out.mkdir(parents=True, exist_ok=True)
     fdir = out / "fields"
     fdir.mkdir(exist_ok=True)
-    state = bench.truth_state
-    snaps = state if bench.obs_times else (state,)
-    for i, f in enumerate(snaps):
-        write_field_bin(fdir / f"state_{i}.bin", f)
+    for i, u in enumerate(bench.truth_state.reshape(-1, bench.grid.n_nodes)):
+        write_field_bin(fdir / f"state_{i}.bin", Field(bench.grid, u))
     if bench.m_ref is not None:
         write_field_bin(fdir / "m_ref.bin", bench.m_ref)
     save_observation(out / "observations.json", bench.data, bench.sensors)

@@ -2,7 +2,8 @@
 
 Sensor conventions: an "s per axis" equidistant array means the interior
 lattice ``{(i/(s+1), j/(s+1)) : i, j = 1..s}``, so no sensor sits on the
-boundary.  Fields are read by bilinear interpolation on their grid.
+boundary.  Nodal values are read by bilinear interpolation on their grid;
+a NaN state (a failed solve) reads NaN.
 
 Data synthesis follows ``y_obs = y_ref + delta * max|y_ref| * xi`` with
 ``xi`` i.i.d. standard normal per entry, and the noise covariance is the
@@ -17,6 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from .grf import Grid2D
+
+EXACT_DATA_VAR = 1e-12  # the diagonal floor of exact (delta = 0) data
 
 
 @dataclass(frozen=True)
@@ -43,32 +48,31 @@ def lattice_sensors(per_axis: int) -> SensorArray:
     return SensorArray(np.column_stack([xx.ravel(), yy.ravel()]))
 
 
-def observe(fields: list, sensors: SensorArray) -> np.ndarray:
-    """Bilinear read-out of Fields on one grid at the sensor locations, one
-    row per Field."""
-    g = fields[0].grid
-    u = np.array([h.as_matrix() for h in fields])
+def observe(values, grid: Grid2D, sensors: SensorArray) -> np.ndarray:
+    """Bilinear read-out at the sensor locations of nodal values on
+    ``grid``: shape (..., n_nodes) in, (..., n_sensors) out."""
+    u = np.asarray(values, dtype=float)
+    u = u.reshape(*u.shape[:-1], grid.nx, grid.ny)
     x = sensors.locations[:, 0]
     y = sensors.locations[:, 1]
-    ix = np.minimum((x / g.hx).astype(int), g.nx - 2)
-    iy = np.minimum((y / g.hy).astype(int), g.ny - 2)
-    tx = x / g.hx - ix
-    ty = y / g.hy - iy
-    return ((1 - tx) * (1 - ty) * u[:, ix, iy]
-            + tx * (1 - ty) * u[:, ix + 1, iy]
-            + (1 - tx) * ty * u[:, ix, iy + 1]
-            + tx * ty * u[:, ix + 1, iy + 1])
+    ix = np.minimum((x / grid.hx).astype(int), grid.nx - 2)
+    iy = np.minimum((y / grid.hy).astype(int), grid.ny - 2)
+    tx = x / grid.hx - ix
+    ty = y / grid.hy - iy
+    return ((1 - tx) * (1 - ty) * u[..., ix, iy]
+            + tx * (1 - ty) * u[..., ix + 1, iy]
+            + (1 - tx) * ty * u[..., ix, iy + 1]
+            + tx * ty * u[..., ix + 1, iy + 1])
 
 
-def observe_state(states: list, sensors: SensorArray) -> np.ndarray:
-    """Observation vectors of solver states, one row per state.
+def observe_state(states: np.ndarray, grid: Grid2D, sensors: SensorArray) -> np.ndarray:
+    """Observation vectors of a batch of solver states, one row per state.
 
-    A state is a Field or a tuple of snapshots; snapshots concatenate in time
-    order, so a two-time problem with s sensors yields 2 s readings a row.
+    A state is (n_nodes,) or, for a snapshot problem, (n_times, n_nodes);
+    snapshots concatenate in time order, so a two-time problem with s
+    sensors yields 2 s readings a row.
     """
-    if isinstance(states[0], tuple):
-        return np.hstack([observe(list(snaps), sensors) for snaps in zip(*states)])
-    return observe(states, sensors)
+    return observe(states, grid, sensors).reshape(len(states), -1)
 
 
 @dataclass
@@ -78,7 +82,6 @@ class ObservationData:
     y_obs: np.ndarray
     noise_cov: np.ndarray
     delta: float
-    seed: int | None = None
 
     def __post_init__(self):
         self.y_obs = np.asarray(self.y_obs, dtype=float).ravel()
@@ -92,25 +95,24 @@ class ObservationData:
         return self.y_obs.size
 
 
-def synthesize_data(y_ref: np.ndarray, delta: float, rng=None, floor: float = 1e-12,
-                    seed: int | None = None) -> ObservationData:
+def synthesize_data(y_ref: np.ndarray, delta: float, rng=None) -> ObservationData:
     """Perturb a reference observation with scaled white noise.
 
-    delta = 0 keeps the data exact and installs ``floor * I`` as covariance
-    (debugging mode); otherwise the per-entry noise standard deviation is
-    ``delta * max|y_ref|``, which must be nonzero.
+    delta = 0 keeps the data exact and installs ``EXACT_DATA_VAR * I`` as
+    covariance (debugging mode); otherwise the per-entry noise standard
+    deviation is ``delta * max|y_ref|``, which must be nonzero.
     """
     y_ref = np.asarray(y_ref, dtype=float).ravel()
     if delta < 0:
         raise ValueError("delta must be >= 0")
     n = y_ref.size
     if delta == 0.0:
-        return ObservationData(y_ref.copy(), floor * np.eye(n), 0.0, seed=seed)
+        return ObservationData(y_ref.copy(), EXACT_DATA_VAR * np.eye(n), 0.0)
     amp = delta * np.abs(y_ref).max()
     if amp == 0.0:
         raise ValueError("reference observation is identically zero; noise scale undefined")
     xi = np.random.default_rng(rng).standard_normal(n)
-    return ObservationData(y_ref + amp * xi, amp**2 * np.eye(n), delta, seed=seed)
+    return ObservationData(y_ref + amp * xi, amp**2 * np.eye(n), delta)
 
 
 def misfit(g_of_m: np.ndarray, data: ObservationData) -> float:
@@ -137,7 +139,6 @@ def save_observation(path, data: ObservationData, sensors: SensorArray) -> None:
     doc = {
         "locations": sensors.locations.tolist(),
         "delta": data.delta,
-        "seed": data.seed,
         "noise_var": var,
         "y_obs": data.y_obs.tolist(),
     }
@@ -146,9 +147,10 @@ def save_observation(path, data: ObservationData, sensors: SensorArray) -> None:
 
 
 def load_observation(path):
+    """Read save_observation's JSON; keys it does not write (such as an older
+    file's "seed") are ignored."""
     with open(path) as fh:
         doc = json.load(fh)
     y = np.asarray(doc["y_obs"], dtype=float)
-    data = ObservationData(y, doc["noise_var"] * np.eye(y.size), doc["delta"],
-                           seed=doc.get("seed"))
+    data = ObservationData(y, doc["noise_var"] * np.eye(y.size), doc["delta"])
     return data, SensorArray(np.asarray(doc["locations"], dtype=float))

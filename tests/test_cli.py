@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from opinv import cli
 from opinv.cli import build_config, main, make_parser
 from opinv.config import RunConfig
 
@@ -12,6 +14,13 @@ def parse(*argv):
 
 
 # -- config layering ----------------------------------------------------------
+
+
+def test_every_run_config_field_has_a_flag():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(cli._ALL_FIELDS) == fields
+    assert len(cli._ALL_FIELDS) == len(fields)  # no flag listed twice
+    assert fields <= set(vars(parse("invert")))  # and the parser defines each one
 
 
 def test_flags_over_preset():

@@ -117,8 +117,9 @@ def test_bench_query_geometry_heat_loc():
     assert np.all(b.sensor_queries[:9, 2] == b.obs_times[0])
     assert np.all(b.sensor_queries[9:, 2] == b.obs_times[1])
     state = b.truth_state
-    manual = np.concatenate([observe([f], b.sensors)[0] for f in state])
-    assert np.array_equal(b.readings([state])[0], manual)
+    assert state.shape == (2, b.grid.n_nodes)  # one row per snapshot time
+    manual = np.concatenate([observe(u, b.grid, b.sensors) for u in state])
+    assert np.array_equal(b.readings(state[None])[0], manual)
 
 
 def test_bench_encode_reads_lattice_nodes(bench):
@@ -451,8 +452,8 @@ class FieldStateProblem:
     grid: Grid2D
     obs_times = ()
 
-    def solve_batch(self, params):
-        return list(params)
+    def solve_batch(self, P):
+        return P
 
 
 def test_fifth_problem_needs_only_a_spec(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-import math
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opinv.grf import Field, Grid2D
+from opinv.grf import Grid2D
 from opinv.observe import (
     ObservationData,
     SensorArray,
@@ -43,26 +43,24 @@ def test_sensor_validation():
 
 def test_observe_exact_at_grid_nodes():
     g = Grid2D(5, 5)
-    rng = np.random.default_rng(0)
-    f = Field(g, rng.standard_normal(25))
+    v = np.random.default_rng(0).standard_normal(25)
     sensors = SensorArray(g.nodes())
-    assert np.allclose(observe([f], sensors)[0], f.values, atol=1e-14)
+    assert np.allclose(observe(v, g, sensors), v, atol=1e-14)
 
 
 def test_observe_bilinear_hand_value():
     g = Grid2D(2, 2)
     # v[i, j] at (x_i, y_j)
-    f = Field(g, np.array([1.0, 2.0, 3.0, 4.0]))  # v00, v01, v10, v11
-    got = observe([f], SensorArray(np.array([[0.25, 0.75]])))[0]
+    v = np.array([1.0, 2.0, 3.0, 4.0])  # v00, v01, v10, v11
+    got = observe(v, g, SensorArray(np.array([[0.25, 0.75]])))
     want = 0.75 * 0.25 * 1.0 + 0.75 * 0.75 * 2.0 + 0.25 * 0.25 * 3.0 + 0.25 * 0.75 * 4.0
     assert got[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_observe_constant_field():
     g = Grid2D(9, 9)
-    f = Field(g, np.full(81, 2.5))
     s = lattice_sensors(4)
-    assert np.allclose(observe([f], s), 2.5, atol=1e-14)
+    assert np.allclose(observe(np.full(81, 2.5), g, s), 2.5, atol=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -72,36 +70,46 @@ def test_observe_is_linear(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((2, g.n_nodes))
     s = lattice_sensors(3)
-    lhs = observe([Field(g, a + 2.0 * b)], s)[0]
-    rhs = observe([Field(g, a)], s)[0] + 2.0 * observe([Field(g, b)], s)[0]
+    lhs = observe(a + 2.0 * b, g, s)
+    rhs = observe(a, g, s) + 2.0 * observe(b, g, s)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_observe_state_concatenates_snapshots():
     g = Grid2D(4, 4)
-    f1 = Field(g, np.ones(16))
-    f2 = Field(g, 2.0 * np.ones(16))
     s = lattice_sensors(3)
-    y = observe_state([(f1, f2)], s)[0]
+    y = observe_state(np.array([[np.ones(16), 2.0 * np.ones(16)]]), g, s)[0]
     assert y.shape == (18,)
     assert np.allclose(y[:9], 1.0) and np.allclose(y[9:], 2.0)
-    assert np.allclose(observe_state([f1], s)[0], np.ones(9))
+    assert np.allclose(observe_state(np.ones((1, 16)), g, s)[0], np.ones(9))
 
 
 def test_batch_readout_rows_equal_single_readouts():
     g = Grid2D(7, 9)
-    rng = np.random.default_rng(4)
-    fields = [Field(g, v) for v in rng.standard_normal((5, g.n_nodes))]
+    V = np.random.default_rng(4).standard_normal((5, g.n_nodes))
     s = lattice_sensors(4)
-    Y = observe(fields, s)
+    Y = observe(V, g, s)
     assert Y.shape == (5, 16)
-    for row, f in zip(Y, fields):
-        assert np.array_equal(row, observe([f], s)[0])
-    snaps = [(fields[i], fields[i + 1]) for i in range(4)]
-    Y = observe_state(snaps, s)
+    for row, v in zip(Y, V):
+        assert np.array_equal(row, observe(v, g, s))
+    snaps = np.stack([V[:-1], V[1:]], axis=1)  # (4 states, 2 times, nodes)
+    Y = observe_state(snaps, g, s)
     assert Y.shape == (4, 32)
     for row, state in zip(Y, snaps):
-        assert np.array_equal(row, observe_state([state], s)[0])
+        assert np.array_equal(row, observe_state(state[None], g, s)[0])
+        assert np.array_equal(row, np.concatenate([observe(u, g, s) for u in state]))
+
+
+def test_failed_state_reads_nan():
+    # a failed solve is a NaN row; it reads NaN, and the other rows as alone
+    g = Grid2D(6, 6)
+    V = np.random.default_rng(8).standard_normal((3, g.n_nodes))
+    V[1] = np.nan
+    s = lattice_sensors(2)
+    Y = observe_state(V, g, s)
+    assert np.all(np.isnan(Y[1]))
+    for i in (0, 2):
+        assert np.array_equal(Y[i], observe(V[i], g, s))
 
 
 # -- synthesis ----------------------------------------------------------------
@@ -109,7 +117,7 @@ def test_batch_readout_rows_equal_single_readouts():
 
 def test_synthesize_scales_noise_by_max_abs():
     y_ref = np.array([1.0, -2.0, 3.0])
-    data = synthesize_data(y_ref, 0.1, rng=0, seed=0)
+    data = synthesize_data(y_ref, 0.1, rng=0)
     assert np.allclose(np.diag(data.noise_cov), 0.09)  # (0.1 * 3)^2
     assert data.delta == 0.1
     assert data.y_obs.shape == (3,)
@@ -193,15 +201,27 @@ def test_misfit_rejects_length_mismatch():
 
 def test_observation_json_roundtrip(tmp_path):
     y_ref = np.array([1.0, -2.0, 3.0, 0.5])
-    data = synthesize_data(y_ref, 0.05, rng=11, seed=11)
+    data = synthesize_data(y_ref, 0.05, rng=11)
     sensors = SensorArray(np.array([[0.2, 0.2], [0.4, 0.6], [0.8, 0.8], [0.1, 0.9]]))
     p = tmp_path / "obs.json"
     save_observation(p, data, sensors)
     data2, sensors2 = load_observation(p)
     assert np.array_equal(data2.y_obs, data.y_obs)
     assert np.allclose(data2.noise_cov, data.noise_cov)
-    assert data2.delta == data.delta and data2.seed == 11
+    assert data2.delta == data.delta
     assert np.array_equal(sensors2.locations, sensors.locations)
+    assert "seed" not in json.loads(p.read_text())
+
+
+def test_load_observation_reads_files_with_a_seed_key(tmp_path):
+    # files written before the seed field was dropped carry "seed": null
+    p = tmp_path / "obs.json"
+    p.write_text(json.dumps({"delta": 0.05, "locations": [[0.5, 0.5]], "noise_var": 0.25,
+                             "seed": None, "y_obs": [1.5]}))
+    data, sensors = load_observation(p)
+    assert np.array_equal(data.y_obs, [1.5]) and data.delta == 0.05
+    assert np.array_equal(data.noise_cov, [[0.25]])
+    assert np.array_equal(sensors.locations, [[0.5, 0.5]])
 
 
 def test_save_rejects_nonscalar_covariance(tmp_path):
