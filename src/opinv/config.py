@@ -33,9 +33,11 @@ class PointParam:
 class ProblemSpec:
     """Everything that sets one benchmark problem apart.  The class has a
     ``solve_batch(P)`` method, a (B, n) parameter array to a float array of
-    states with one row per parameter (NaN where a solve failed), and an
-    ``obs_times`` tuple (empty for a single state); ``desk`` and ``paper``
-    are the preset's RunConfig deltas."""
+    states with one row per parameter (NaN where a solve failed), an
+    ``obs_times`` tuple (empty for a single state), and a ``linear`` flag,
+    True only if the state is a linear map of the parameter field (then
+    ``forward_map`` composes KL-coefficient states from the basis rows');
+    ``desk`` and ``paper`` are the preset's RunConfig deltas."""
 
     problem_class: type
     point: PointParam | None = None  # None: KL coefficients realized on a basis

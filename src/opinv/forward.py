@@ -23,6 +23,12 @@ one row at a time, as each field has its own matrix.  So does heat-loc: its
 rows share one matrix, but a multi-column sparse solve need not round each
 column as a single solve does.
 
+Each problem class also declares ``linear``: whether its state is a linear
+map of its parameter field.  Only reaction-diffusion's is.  On a KL basis,
+``forward_map`` composes such a problem's states from the states of the
+basis rows, marched once per (problem, basis), instead of realizing and
+marching every row.
+
 Diffusion under Neumann walls and the advection term both use node-centered
 finite-volume stencils (half cells at the walls) whose weighted column sums
 vanish, so the trapezoid-rule mass ``w.T u`` is conserved exactly by the time
@@ -140,6 +146,7 @@ class DarcyProblem:
     levels: tuple = (1000.0, 2000.0, 3000.0)
     edges: tuple = (4.0 / 6.0, 5.0 / 6.0)
     obs_times = ()  # one state, the steady solution
+    linear = False
 
     def solve_batch(self, P) -> np.ndarray:
         """(B, n_nodes) states of a (B, n_nodes) batch of log-conductivities:
@@ -255,6 +262,7 @@ class HeatSourceLocProblem:
     t_cutoff: float = 0.05
     obs_times: tuple = (0.05, 0.15)
     n_steps: int = 100
+    linear = False
 
     def source_values(self, chi) -> np.ndarray:
         X, Y = self.grid.mesh()
@@ -311,6 +319,7 @@ class HeatSourceFieldProblem:
     n_steps: int = 50
     amplitude: float = 100.0
     obs_times = ()  # one state, at t_final
+    linear = False  # affine in m: the initial state adds a fixed term
 
     def initial_values(self) -> np.ndarray:
         X, Y = self.grid.mesh()
@@ -373,6 +382,7 @@ class ReactionDiffusionProblem:
     t_final: float = 1.0
     dt: float = 0.02
     obs_times = ()  # one state, at t_final
+    linear = True
 
     def velocity(self):
         X, Y = self.grid.mesh()
@@ -388,7 +398,7 @@ class ReactionDiffusionProblem:
         n_steps = self.t_final / self.dt
         if abs(n_steps - round(n_steps)) > 1e-9:
             raise ValueError("dt must divide t_final")
-        lu, M_ex = _rd_stepper(g.nx, g.ny, self.kappa, self.dt)
+        lu, M_ex = _rd_stepper(self)
         u = M.T.copy()
         for _ in range(int(round(n_steps))):
             u = lu.solve(M_ex @ u)
@@ -396,11 +406,11 @@ class ReactionDiffusionProblem:
 
 
 @lru_cache(maxsize=8)
-def _rd_stepper(nx: int, ny: int, kappa: float, dt: float):
-    g = Grid2D(nx, ny)
-    prob = ReactionDiffusionProblem(g, kappa=kappa, dt=dt)
-    v1, v2 = prob.velocity()
-    A = kappa * neumann_laplacian(g) - advection_operator(g, v1, v2)
+def _rd_stepper(problem: ReactionDiffusionProblem):
+    """(splu of M_im, M_ex) of one Crank-Nicolson step.  Keyed on the
+    problem, not its grid, as a subclass may override velocity."""
+    g, dt = problem.grid, problem.dt
+    A = problem.kappa * neumann_laplacian(g) - advection_operator(g, *problem.velocity())
     n = g.n_nodes
     M_im = (sp.eye(n) - 0.5 * dt * A).tocsc()
     M_ex = (sp.eye(n) + 0.5 * dt * A).tocsr()
@@ -429,14 +439,24 @@ class EvalLedger:
         return sum(self._counts.values())
 
 
+@lru_cache(maxsize=1)
+def _mode_states(problem, basis: KLBasis) -> np.ndarray:
+    """States of the basis rows ``sqrt(lambda_k) psi_k`` under a linear
+    problem, one row per mode: the state of ``z @ W`` is ``z @`` this.
+    Keyed on the problem and on the basis object itself; one entry, as each
+    run builds its own basis and an older entry would only hold memory."""
+    return problem.solve_batch(basis.weighted_modes)
+
+
 def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = None,
                 category: str = "forward") -> np.ndarray:
-    """Full-order parameter-to-state map on a (B, n) batch: the states of
-    ``problem.solve_batch``, one row per row of Z and NaN where a solve
-    failed, and one ledger tick per row, failed rows included.  Rows are KL
-    coefficients realized on ``basis``, one ``z @ W`` per row, or with
-    ``basis`` None parameters used as is (such as heat-loc's source
-    centers)."""
+    """Full-order parameter-to-state map on a (B, n) batch: one state per
+    row of Z, NaN where a solve failed, and one ledger tick per row, failed
+    rows included.  Rows are KL
+    coefficients on ``basis``, or with ``basis`` None parameters used as is
+    (such as heat-loc's source centers).  A ``linear`` problem's states are
+    composed, ``Z @ _mode_states(problem, basis)``; any other problem solves
+    each row realized as a field, one ``z @ W`` per row."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
         raise ValueError(f"parameter batch must be (B, n), got shape {Z.shape}")
@@ -444,6 +464,8 @@ def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = N
         raise TypeError(f"unknown problem type {type(problem).__name__}")
     if ledger is not None:
         ledger.add(category, len(Z))
-    if basis is not None:
-        Z = np.array([sample_field(basis, z).values for z in Z])
-    return problem.solve_batch(Z)
+    if basis is None:
+        return problem.solve_batch(Z)
+    if problem.linear:
+        return Z @ _mode_states(problem, basis)
+    return problem.solve_batch(np.array([sample_field(basis, z).values for z in Z]))

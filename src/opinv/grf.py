@@ -96,14 +96,11 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    def as_matrix(self) -> np.ndarray:
-        """Values reshaped to (nx, ny); entry [i, j] sits at (x_i, y_j)."""
-        return self.values.reshape(self.grid.nx, self.grid.ny)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KLBasis:
-    """Truncated Karhunen-Loeve basis sampled on a grid.
+    """Truncated Karhunen-Loeve basis sampled on a grid.  Compares and hashes
+    by identity, so a basis can key a cache.
 
     Attributes
     ----------

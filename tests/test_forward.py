@@ -483,6 +483,80 @@ def test_rd_rejects_nondividing_dt():
         p.solve_batch(np.ones((1, 64)))
 
 
+def _rd_by_reference_march(p, M):
+    """Reference: the Crank-Nicolson march of p's own operator, with
+    SuperLU's default ordering."""
+    g = p.grid
+    A = p.kappa * neumann_laplacian(g) - advection_operator(g, *p.velocity())
+    eye = sp.eye(g.n_nodes)
+    lu = spla.splu((eye - 0.5 * p.dt * A).tocsc())
+    M_ex = (eye + 0.5 * p.dt * A).tocsr()
+    u = M.T
+    for _ in range(round(p.t_final / p.dt)):
+        u = lu.solve(M_ex @ u)
+    return u.T
+
+
+class _ReversedFlowProblem(ReactionDiffusionProblem):
+    """The same transport with the velocity field negated."""
+
+    def velocity(self):
+        v1, v2 = super().velocity()
+        return -v1, -v2
+
+
+def test_rd_stepper_is_cached_per_problem():
+    # a subclass with its own velocity, on the same grid, kappa and dt as its
+    # parent, marches its own operator on a cold cache and on a warm one
+    g = Grid2D(10, 10)
+    M = np.random.default_rng(3).standard_normal((3, g.n_nodes))
+    problems = [ReactionDiffusionProblem(g), _ReversedFlowProblem(g)]
+    forward._rd_stepper.cache_clear()
+    for p in problems + problems[::-1] + problems:  # passes 2 and 3 read the cache
+        assert _max_rel_gap(p.solve_batch(M), _rd_by_reference_march(p, M)) <= 1e-12
+    base, reversed_ = (p.solve_batch(M) for p in problems)
+    assert _max_rel_gap(reversed_, base) > 1e-2
+
+
+def test_only_reaction_diffusion_is_linear():
+    linear = {name: spec.problem_class.linear for name, spec in SPECS.items()}
+    assert linear == {"darcy": False, "heat-loc": False, "heat-field": False,
+                      "reaction-diffusion": True}
+
+
+@pytest.mark.parametrize("n", [9, 24])
+def test_rd_forward_map_composes_basis_states(n):
+    # Z @ (states of the basis rows) equals the march of the realized fields,
+    # on a cold cache and on a warm one, with one ledger tick per row
+    p = ReactionDiffusionProblem(Grid2D(n, n))
+    basis = build_kl_basis(p.grid, 16)
+    Z = np.array([prior_draw(16, s) for s in range(7)])
+    want = p.solve_batch(np.array([sample_field(basis, z).values for z in Z]))
+    forward._mode_states.cache_clear()
+    led = EvalLedger()
+    for _ in range(2):
+        assert _max_rel_gap(forward_map(p, basis, Z, led, "fem-uki"), want) <= 1e-12
+    info = forward._mode_states.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert led.counts == {"fem-uki": 14}
+
+
+def test_each_basis_object_gets_its_own_mode_states():
+    # bases with equal values, or fewer modes, each march their own rows
+    p = ReactionDiffusionProblem(Grid2D(9, 9))
+    g = p.grid
+    forward._mode_states.cache_clear()
+    images = []
+    for basis in (build_kl_basis(g, 8), build_kl_basis(g, 8), build_kl_basis(g, 5)):
+        images.append(forward._mode_states(p, basis))
+        assert forward._mode_states(p, basis) is images[-1]
+    info = forward._mode_states.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    assert images[0] is not images[1] and np.array_equal(images[0], images[1])
+    assert images[2].shape == (5, g.n_nodes)
+    assert _max_rel_gap(images[2], images[0][:5]) <= 1e-12
+
+
 # -- forward map + accounting ---------------------------------------------------
 
 
@@ -514,8 +588,8 @@ KERNELS = {DarcyProblem: solve_darcy, HeatSourceLocProblem: solve_heat_loc}
 @pytest.mark.parametrize("name", list(SPECS))
 def test_forward_map_matches_direct_solver(name):
     # Darcy and heat-loc solve row by row: bit-identical to their kernel.
-    # heat-field and reaction-diffusion march the batch with multi-column
-    # solves, which may round differently from a batch of one.
+    # heat-field maps the batch with dense matmuls, and reaction-diffusion
+    # composes basis-row states; both may round differently from a batch of one.
     spec = SPECS[name]
     p = spec.build(12)
     if spec.point is None:

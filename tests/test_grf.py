@@ -51,7 +51,7 @@ def test_field_validation():
     with pytest.raises(ValueError):
         Field(g, np.full(9, np.nan))
     f = Field(g, np.arange(9))
-    assert f.as_matrix()[2, 1] == 7  # value at (x_2, y_1)
+    assert f.values.reshape(3, 3)[2, 1] == 7  # value at (x_2, y_1)
 
 
 # -- eigenvalues ------------------------------------------------------------

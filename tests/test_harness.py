@@ -91,7 +91,7 @@ def test_truth_fixed_closed_form():
     zeta, m_ref = make_truth(cfg, grid)
     assert zeta is None
     X, Y = grid.mesh()
-    assert np.allclose(m_ref.as_matrix(), np.sin(np.pi * X) * np.cos(np.pi * Y))
+    assert np.allclose(m_ref.values.reshape(grid.nx, grid.ny), np.sin(np.pi * X) * np.cos(np.pi * Y))
 
 
 def test_truth_heat_loc_fixed_center():
@@ -451,6 +451,7 @@ class FieldStateProblem:
 
     grid: Grid2D
     obs_times = ()
+    linear = True
 
     def solve_batch(self, P):
         return P
