@@ -18,16 +18,19 @@ Each problem's ``solve_batch`` maps a (B, n) array of parameters to a float
 array of states, one row per parameter: (B, n_nodes), or (B, len(obs_times),
 n_nodes) for a problem that keeps snapshots.  A solve that fails leaves its
 row NaN.  Heat-field maps the whole batch with a few dense matmuls, and
-reaction-diffusion marches it with multi-column SuperLU solves.  Darcy solves
-one row at a time, as each field has its own matrix.  So does heat-loc: its
-rows share one matrix, but a multi-column sparse solve need not round each
-column as a single solve does.
+reaction-diffusion marches it with multi-column SuperLU solves.  Darcy
+builds the band rows of every row's matrix, and checks every residual, in
+whole-batch array ops; only the banded Cholesky runs one row at a time, as
+each field has its own matrix.  Heat-loc solves one row at a time: its rows
+share one matrix, but a multi-column sparse solve need not round each column
+as a single solve does.
 
-Each problem class also declares ``linear``: whether its state is a linear
-map of its parameter field.  Only reaction-diffusion's is.  On a KL basis,
-``forward_map`` composes such a problem's states from the states of the
-basis rows, marched once per (problem, basis), instead of realizing and
-marching every row.
+Each problem class also declares ``affine``: whether its state is an affine
+map of its parameter field.  Heat-field's is (its initial state adds a fixed
+term), and reaction-diffusion's is linear.  On a KL basis, ``forward_map``
+composes such a problem's states from the states of the zero field and of
+the basis rows, solved once per (problem, basis), instead of realizing and
+solving every row.
 
 Diffusion under Neumann walls and the advection term both use node-centered
 finite-volume stencils (half cells at the walls) whose weighted column sums
@@ -146,19 +149,13 @@ class DarcyProblem:
     levels: tuple = (1000.0, 2000.0, 3000.0)
     edges: tuple = (4.0 / 6.0, 5.0 / 6.0)
     obs_times = ()  # one state, the steady solution
-    linear = False
+    affine = False
 
     def solve_batch(self, P) -> np.ndarray:
         """(B, n_nodes) states of a (B, n_nodes) batch of log-conductivities:
-        one banded Cholesky solve per row; a failed solve leaves its row NaN."""
-        P = _rows(P, self.grid)
-        U = np.full(P.shape, np.nan)
-        for u, m in zip(U, P):
-            try:
-                u[:] = solve_darcy(self, m)
-            except SolverError:
-                pass
-        return U
+        ``_darcy_bands`` and the residual check on the whole batch, one banded
+        Cholesky solve per row; a failed solve leaves its row NaN."""
+        return _solve_darcy_rows(self, _rows(P, self.grid))[0]
 
     def source_values(self) -> np.ndarray:
         _, Y = self.grid.mesh()
@@ -175,62 +172,104 @@ class DarcyProblem:
         return b
 
 
-def darcy_band(problem: DarcyProblem, m: np.ndarray) -> np.ndarray:
-    """Upper band storage (LAPACK "U", shape (ny-1, (nx-2)(ny-2)), x-major)
-    of the interior 5-point system for nodal log-conductivity m: row ny-2 holds
-    the diagonal, row ny-3 the north/south couplings at offset 1 (zero where
-    an x-line starts), row 0 the east/west couplings at offset ny-2.  Faces
-    take the harmonic mean of exp(m); raises SolverError if one is not finite.
-    """
+def _darcy_bands(problem: DarcyProblem, P: np.ndarray):
+    """(bands, ok) of the interior 5-point systems of a (B, n_nodes) batch of
+    nodal log-conductivities.  ``bands`` (B, 3, (nx-2)(ny-2)) holds the three
+    nonzero rows of each system's LAPACK upper band storage (x-major), in
+    the order of that storage: the east/west couplings at offset ny-2, the
+    north/south couplings at offset 1 (zero where an x-line starts), and the
+    diagonal.  Faces take the harmonic mean of exp(m); ``ok`` is False for a
+    row with a face conductance that is not finite."""
     g = problem.grid
+    B, nxi, nyi = len(P), g.nx - 2, g.ny - 2
+    bands = np.zeros((B, 3, nxi * nyi))
+    east, north, diag = (bands.reshape(B, 3, nxi, nyi)[:, k] for k in range(3))
 
-    def harm(p, q):
-        return 2.0 * p * q / (p + q)
+    def harm(p, q):  # 2pq / (p + q), rounded as written, with one temporary
+        h = 2.0 * p
+        h *= q
+        h /= p + q
+        return h
 
-    # past exp(m) ~ 1e154, 2pq overflows (inf) or p + q too (inf/inf = NaN)
+    # past exp(m) ~ 1e154, 2pq overflows (inf) or p + q too (inf/inf = NaN);
+    # each interior node couples to its interior neighbors only (boundary
+    # neighbors hold u = 0), and the diagonal sums its four faces in the
+    # order east, west, north, south.  One face array at a time, scaled in
+    # place, keeps the batch's working set small.
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.exp(np.reshape(m, (g.nx, g.ny)))
-        ax = harm(a[:-1, :], a[1:, :])  # face (i,j)-(i+1,j), shape (nx-1, ny)
-        ay = harm(a[:, :-1], a[:, 1:])  # face (i,j)-(i,j+1), shape (nx, ny-1)
-    if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+        a = np.exp(P.reshape(B, g.nx, g.ny))
+        face = harm(a[:, :-1, :], a[:, 1:, :])  # (i,j)-(i+1,j)
+        ok = np.isfinite(face).all(axis=(1, 2))
+        face /= g.hx**2
+        diag[:] = face[:, 1:, 1:-1]
+        np.negative(face[:, 1:-1, 1:-1], out=east[:, 1:])
+        diag += face[:, :-1, 1:-1]
+        del face
+        face = harm(a[:, :, :-1], a[:, :, 1:])  # (i,j)-(i,j+1)
+        del a
+        ok &= np.isfinite(face).all(axis=(1, 2))
+        face /= g.hy**2
+        diag += face[:, 1:-1, 1:]
+        np.negative(face[:, 1:-1, 1:-1], out=north[:, :, 1:])
+        diag += face[:, 1:-1, :-1]
+    return bands, ok
+
+
+def darcy_band(problem: DarcyProblem, m: np.ndarray) -> np.ndarray:
+    """``_darcy_bands`` of one field m, shape (3, (nx-2)(ny-2)); raises
+    SolverError if a face conductance is not finite."""
+    bands, ok = _darcy_bands(problem, _rows(np.reshape(m, (1, -1)), problem.grid))
+    if not ok[0]:
         raise SolverError("face conductance not finite: exp(m) out of range")
-    # conductances of the four faces of each interior node, shape (nx-2, ny-2)
-    aE = ax[1:, 1:-1] / g.hx**2
-    aW = ax[:-1, 1:-1] / g.hx**2
-    aN = ay[1:-1, 1:] / g.hy**2
-    aS = ay[1:-1, :-1] / g.hy**2
-    # couple to interior neighbors only; boundary neighbors hold u = 0
+    return bands[0]
+
+
+def _solve_darcy_rows(problem: DarcyProblem, P: np.ndarray):
+    """(U, errors): the (B, n_nodes) states of a batch of log-conductivities,
+    NaN where a solve failed, and each failed row's reason by row index.  Each
+    row's band fills one reused (ny-1, N) buffer for LAPACK ``pbsv``; a row
+    fails if a face conductance is not finite, if the banded Cholesky fails,
+    or if it leaves a relative residual above 1e-10."""
+    g = problem.grid
+    b = problem.interior_source
+    bands, ok = _darcy_bands(problem, P)
+    errors = {i: "face conductance not finite: exp(m) out of range"
+              for i in np.flatnonzero(~ok)}
     nyi = g.ny - 2
-    ab = np.zeros((nyi + 1, aE.size))
-    ab[nyi] = (aE + aW + aN + aS).ravel()
-    ab[nyi - 1].reshape(aE.shape)[:, 1:] = -aN[:, :-1]
-    ab[0, nyi:] = -aE[:-1].ravel()
-    return ab
+    ab = np.zeros((nyi + 1, bands.shape[2]))
+    U_int = np.full((len(P), bands.shape[2]), np.nan)
+    for i in np.flatnonzero(ok):
+        # north/south first: with ny = 3 both couplings sit at offset 1, row 0
+        ab[nyi - 1], ab[0], ab[nyi] = bands[i, 1], bands[i, 0], bands[i, 2]
+        try:
+            U_int[i] = solveh_banded(ab, b, lower=False, check_finite=False)
+        except LinAlgError as err:
+            errors[i] = f"banded Cholesky failed: {err}"
+    # residual by a band matvec on offsets 0, 1 and ny-2; a row that was not
+    # solved, or that overflows, reads NaN or inf and fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = bands[:, 2] * U_int
+        R -= b
+        for k, d in ((1, 1), (0, nyi)):
+            R[:, :-d] += bands[:, k, d:] * U_int[:, d:]
+            R[:, d:] += bands[:, k, d:] * U_int[:, :-d]
+        res = np.sqrt(np.einsum("ij,ij->i", R, R)) / np.linalg.norm(b)
+    del bands, R
+    for i in np.flatnonzero(~(res <= 1e-10)):
+        errors.setdefault(i, f"Darcy solve residual {res[i]:.3e} above 1e-10")
+    U = np.zeros((len(P), g.n_nodes))
+    U[:, _interior_index(g)] = U_int
+    U[list(errors)] = np.nan
+    return U, errors
 
 
 def solve_darcy(problem: DarcyProblem, m: np.ndarray) -> np.ndarray:
-    """Nodal state of the Darcy problem for nodal log-conductivity m: a banded
-    Cholesky (LAPACK ``pbsv``) of ``darcy_band``; raises SolverError if it is
-    not positive definite or leaves a relative residual above 1e-10."""
-    g = problem.grid
-    ab = darcy_band(problem, m)
-    b = problem.interior_source
-    try:
-        u_int = solveh_banded(ab, b, lower=False, check_finite=False)
-    except LinAlgError as err:
-        raise SolverError(f"banded Cholesky failed: {err}") from err
-    # residual by a band matvec on offsets 0, 1 and ny-2 (a set: ny-2 may be 1)
-    nyi = ab.shape[0] - 1
-    r = ab[nyi] * u_int - b
-    for d in {1, nyi}:
-        r[:-d] += ab[nyi - d, d:] * u_int[d:]
-        r[d:] += ab[nyi - d, d:] * u_int[:-d]
-    res = np.linalg.norm(r) / np.linalg.norm(b)
-    if not np.isfinite(res) or res > 1e-10:
-        raise SolverError(f"Darcy solve residual {res:.3e} above 1e-10")
-    u = np.zeros(g.n_nodes)
-    u[_interior_index(g)] = u_int
-    return u
+    """Nodal state of the Darcy problem for nodal log-conductivity m: the
+    batch solve of one row; raises SolverError where that row fails."""
+    U, errors = _solve_darcy_rows(problem, _rows(np.reshape(m, (1, -1)), problem.grid))
+    if errors:
+        raise SolverError(errors[0])
+    return U[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +301,7 @@ class HeatSourceLocProblem:
     t_cutoff: float = 0.05
     obs_times: tuple = (0.05, 0.15)
     n_steps: int = 100
-    linear = False
+    affine = False
 
     def source_values(self, chi) -> np.ndarray:
         X, Y = self.grid.mesh()
@@ -319,7 +358,7 @@ class HeatSourceFieldProblem:
     n_steps: int = 50
     amplitude: float = 100.0
     obs_times = ()  # one state, at t_final
-    linear = False  # affine in m: the initial state adds a fixed term
+    affine = True  # the initial state adds a fixed term
 
     def initial_values(self) -> np.ndarray:
         X, Y = self.grid.mesh()
@@ -382,7 +421,7 @@ class ReactionDiffusionProblem:
     t_final: float = 1.0
     dt: float = 0.02
     obs_times = ()  # one state, at t_final
-    linear = True
+    affine = True  # linear: the zero field stays zero
 
     def velocity(self):
         X, Y = self.grid.mesh()
@@ -440,23 +479,26 @@ class EvalLedger:
 
 
 @lru_cache(maxsize=1)
-def _mode_states(problem, basis: KLBasis) -> np.ndarray:
-    """States of the basis rows ``sqrt(lambda_k) psi_k`` under a linear
-    problem, one row per mode: the state of ``z @ W`` is ``z @`` this.
-    Keyed on the problem and on the basis object itself; one entry, as each
-    run builds its own basis and an older entry would only hold memory."""
-    return problem.solve_batch(basis.weighted_modes)
+def _mode_states(problem, basis: KLBasis):
+    """(s0, S) of an affine problem on a basis: s0 the (1, n_nodes) state of
+    the zero field and S the states of the basis rows ``sqrt(lambda_k)
+    psi_k`` less s0, one row per mode, so that the state of ``z @ W`` is
+    ``s0 + z @ S``.  Keyed on the problem and on the basis object itself;
+    one entry, as each run builds its own basis and an older entry would
+    only hold memory."""
+    s0 = problem.solve_batch(np.zeros((1, basis.grid.n_nodes)))
+    return s0, problem.solve_batch(basis.weighted_modes) - s0
 
 
 def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = None,
                 category: str = "forward") -> np.ndarray:
     """Full-order parameter-to-state map on a (B, n) batch: one state per
     row of Z, NaN where a solve failed, and one ledger tick per row, failed
-    rows included.  Rows are KL
-    coefficients on ``basis``, or with ``basis`` None parameters used as is
-    (such as heat-loc's source centers).  A ``linear`` problem's states are
-    composed, ``Z @ _mode_states(problem, basis)``; any other problem solves
-    each row realized as a field, one ``z @ W`` per row."""
+    rows included.  Rows are KL coefficients on ``basis``, or with ``basis``
+    None parameters used as is (such as heat-loc's source centers).  An
+    ``affine`` problem's states are composed, ``s0 + Z @ S`` from
+    ``_mode_states(problem, basis)``; any other problem solves each row
+    realized as a field, one ``z @ W`` per row."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
         raise ValueError(f"parameter batch must be (B, n), got shape {Z.shape}")
@@ -466,6 +508,7 @@ def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = N
         ledger.add(category, len(Z))
     if basis is None:
         return problem.solve_batch(Z)
-    if problem.linear:
-        return Z @ _mode_states(problem, basis)
+    if problem.affine:
+        s0, S = _mode_states(problem, basis)
+        return s0 + Z @ S
     return problem.solve_batch(np.array([sample_field(basis, z).values for z in Z]))

@@ -11,10 +11,11 @@ With alpha = 1 or a zero anchor r0 the mean equation takes its usual
 anchor-free form.
 
 ``solve_fixed_point`` iterates the exact map until both the successive change
-and the residuals of these two equations are small.  ``verify_error_bound``
-perturbs G along a fixed unit direction, G -> G + eps E, and confirms that
-the fixed-point errors ||r - r_hat|| and ||C^{-1} - C_hat^{-1}||_2 shrink at
-first order in eps (log-log slope near one).
+and the residuals of these two equations are small next to the size of the
+terms they compare (or, where that is below 1, small in absolute terms).
+``verify_error_bound`` perturbs G along a fixed unit direction, G -> G + eps
+E, and confirms that the fixed-point errors ||r - r_hat|| and ||C^{-1} -
+C_hat^{-1}||_2 shrink at first order in eps (log-log slope near one).
 """
 
 from __future__ import annotations
@@ -74,16 +75,20 @@ def exact_update(model: LinearModel, r: np.ndarray, C: np.ndarray):
 
 
 def _residuals(model: LinearModel, r: np.ndarray, C: np.ndarray):
+    """((res_cov, res_mean), (scale_cov, scale_mean)): the absolute residuals
+    of the two fixed-point equations, and the size of the terms each one
+    compares, never below 1."""
     a = model.alpha
     C_inv = np.linalg.inv(C)
     M_inv = np.linalg.inv(a * a * C + model.sigma_omega)
-    Gw = model.G.T @ np.linalg.solve(model.sigma_eta, model.G)
-    res_cov = np.linalg.norm(C_inv - Gw - M_inv, 2)
+    rhs_cov = model.G.T @ np.linalg.solve(model.sigma_eta, model.G) + M_inv
     lhs = C_inv @ r
     rhs = (model.G.T @ np.linalg.solve(model.sigma_eta, model.y)
            + M_inv @ (a * r + (1 - a) * model.r0))
-    res_mean = float(np.linalg.norm(lhs - rhs))
-    return float(res_cov), res_mean
+    res = (float(np.linalg.norm(C_inv - rhs_cov, 2)), float(np.linalg.norm(lhs - rhs)))
+    scale = (max(1.0, np.linalg.norm(C_inv, 2), np.linalg.norm(rhs_cov, 2)),
+             max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs)))
+    return res, scale
 
 
 def solve_fixed_point(model: LinearModel, tol: float = 1e-12, max_iter: int = 100_000,
@@ -91,21 +96,25 @@ def solve_fixed_point(model: LinearModel, tol: float = 1e-12, max_iter: int = 10
                       C_init: np.ndarray | None = None) -> FixedPoint:
     """Iterate the exact map to its fixed point.
 
-    Converged when the successive change in (r, C) drops below tol and both
-    fixed-point residuals drop below 10 tol; raises RuntimeError otherwise.
+    Converged when the successive changes in r and in C drop below tol and
+    both fixed-point residuals below 10 tol, each test relative to the size
+    of the terms it compares where that exceeds 1; raises RuntimeError
+    otherwise.
     """
     n = model.n_dim
     r = np.zeros(n) if r_init is None else np.asarray(r_init, dtype=float).copy()
     C = np.eye(n) if C_init is None else np.asarray(C_init, dtype=float).copy()
     for it in range(1, max_iter + 1):
         r_new, C_new = exact_update(model, r, C)
-        delta = max(np.linalg.norm(r_new - r), np.linalg.norm(C_new - C, 2))
+        step_r = np.linalg.norm(r_new - r) / max(1.0, np.linalg.norm(r_new), np.linalg.norm(r))
+        step_C = (np.linalg.norm(C_new - C, 2)
+                  / max(1.0, np.linalg.norm(C_new, 2), np.linalg.norm(C, 2)))
         r, C = r_new, C_new
-        if delta < tol:
-            res_cov, res_mean = _residuals(model, r, C)
-            if res_cov < 10 * tol and res_mean < 10 * tol:
+        if max(step_r, step_C) < tol:
+            (res_cov, res_mean), (scale_cov, scale_mean) = _residuals(model, r, C)
+            if res_cov < 10 * tol * scale_cov and res_mean < 10 * tol * scale_mean:
                 return FixedPoint(r, C, it, res_cov, res_mean)
-    res_cov, res_mean = _residuals(model, r, C)
+    (res_cov, res_mean), _ = _residuals(model, r, C)
     raise RuntimeError(
         f"no fixed point after {max_iter} iterations "
         f"(residuals cov={res_cov:.3e}, mean={res_mean:.3e})"

@@ -239,13 +239,16 @@ def _darcy_by_coo_assembly(problem, m):
     return A, (ii * g.ny + jj).ravel()
 
 
-def _band_to_dense(ab):
-    """Symmetric matrix of LAPACK upper band storage."""
-    u, n = ab.shape[0] - 1, ab.shape[1]
+def _bands_to_dense(bands, ny):
+    """Symmetric matrix of darcy_band's compact rows: the upper band rows at
+    offsets ny-2, 1 and 0 of LAPACK band storage."""
+    n = bands.shape[1]
     A = np.zeros((n, n))
-    for d in range(u + 1):
+    for row, d in zip(bands, (ny - 2, 1, 0)):
         i = np.arange(n - d)
-        A[i, i + d] = A[i + d, i] = ab[u - d, d:]
+        A[i, i + d] += row[d:]
+        if d:
+            A[i + d, i] += row[d:]
     return A
 
 
@@ -258,9 +261,9 @@ def test_darcy_band_is_bit_identical_to_coo_assembly():
     for n, seed in ((9, 0), (13, 1), (24, 2)):
         problem, m = _darcy_case(n, seed)
         A, _ = _darcy_by_coo_assembly(problem, m)
-        ab = darcy_band(problem, m)
-        assert ab.shape == (n + 2, (n - 2) * (n + 1))  # (ny - 1, interior nodes)
-        assert np.array_equal(_band_to_dense(ab), A.toarray())
+        bands = darcy_band(problem, m)
+        assert bands.shape == (3, (n - 2) * (n + 1))  # (3, interior nodes)
+        assert np.array_equal(_bands_to_dense(bands, n + 3), A.toarray())
 
 
 def test_darcy_solve_matches_coo_splu_reference():
@@ -283,7 +286,7 @@ def test_darcy_factorization_failure_is_a_solver_error(monkeypatch):
     bad = darcy_band(DarcyProblem(g), sample_field(basis, Z[1]).values)
 
     def solveh(ab, b, **kw):
-        if np.array_equal(ab, bad):
+        if np.array_equal(ab[-1], bad[2]):  # the diagonal
             raise LinAlgError("2-th leading minor not positive definite")
         return solveh_banded(ab, b, **kw)
 
@@ -304,6 +307,39 @@ def test_darcy_residual_check_raises(monkeypatch):
                         lambda ab, b, **kw: solveh_banded(ab, b, **kw) * (1 + 1e-8))
     with pytest.raises(SolverError, match="residual"):
         solve_darcy(DarcyProblem(g), m)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nx, ny", [(9, 9), (13, 16), (24, 24), (70, 70)])
+def test_darcy_batch_rows_equal_one_row_solves(nx, ny, monkeypatch):
+    # good rows between an overflowing row, a row whose Cholesky fails and a
+    # row whose residual fails: the good rows are bit-identical to batches of
+    # one, the failed rows NaN, and nothing warns
+    g = Grid2D(nx, ny)
+    p = DarcyProblem(g)
+    basis = build_kl_basis(g, 8)
+    good = [sample_field(basis, prior_draw(8, s)).values for s in range(7)]
+    P = np.array([good[0], np.full(g.n_nodes, 800.0), good[1], good[2], good[3],
+                  good[4], good[5], good[6]])
+    chol_diag, res_diag = darcy_band(p, P[3])[2], darcy_band(p, P[5])[2]
+
+    def solveh(ab, b, **kw):
+        if np.array_equal(ab[-1], chol_diag):
+            raise LinAlgError("3-th leading minor not positive definite")
+        u = solveh_banded(ab, b, **kw)
+        return u * (1 + 1e-8) if np.array_equal(ab[-1], res_diag) else u
+
+    monkeypatch.setattr(forward, "solveh_banded", solveh)
+    U = p.solve_batch(P)
+    assert U.shape == (8, g.n_nodes)
+    for i, match in ((1, "face conductance"), (3, "banded Cholesky"), (5, "residual")):
+        assert np.all(np.isnan(U[i]))
+        with pytest.raises(SolverError, match=match):
+            solve_darcy(p, P[i])
+    for i in (0, 2, 4, 6, 7):
+        (want,) = p.solve_batch(P[i][None])
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(U[i], want)
 
 
 def test_darcy_grid_mismatch():
@@ -518,17 +554,16 @@ def test_rd_stepper_is_cached_per_problem():
     assert _max_rel_gap(reversed_, base) > 1e-2
 
 
-def test_only_reaction_diffusion_is_linear():
-    linear = {name: spec.problem_class.linear for name, spec in SPECS.items()}
-    assert linear == {"darcy": False, "heat-loc": False, "heat-field": False,
+def test_heat_field_and_reaction_diffusion_are_affine():
+    affine = {name: spec.problem_class.affine for name, spec in SPECS.items()}
+    assert affine == {"darcy": False, "heat-loc": False, "heat-field": True,
                       "reaction-diffusion": True}
 
 
-@pytest.mark.parametrize("n", [9, 24])
-def test_rd_forward_map_composes_basis_states(n):
-    # Z @ (states of the basis rows) equals the march of the realized fields,
-    # on a cold cache and on a warm one, with one ledger tick per row
-    p = ReactionDiffusionProblem(Grid2D(n, n))
+def _check_composed_forward_map(p):
+    # s0 + Z @ S (the states of the zero field and of the basis rows) equals
+    # the solve of the realized fields, on a cold cache and on a warm one,
+    # with one ledger tick per row
     basis = build_kl_basis(p.grid, 16)
     Z = np.array([prior_draw(16, s) for s in range(7)])
     want = p.solve_batch(np.array([sample_field(basis, z).values for z in Z]))
@@ -539,6 +574,16 @@ def test_rd_forward_map_composes_basis_states(n):
     info = forward._mode_states.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert led.counts == {"fem-uki": 14}
+
+
+@pytest.mark.parametrize("n", [9, 24])
+def test_rd_forward_map_composes_basis_states(n):
+    _check_composed_forward_map(ReactionDiffusionProblem(Grid2D(n, n)))
+
+
+@pytest.mark.parametrize("n", [9, 24, 70])
+def test_heat_field_forward_map_composes_basis_states(n):
+    _check_composed_forward_map(HeatSourceFieldProblem(Grid2D(n, n)))
 
 
 def test_each_basis_object_gets_its_own_mode_states():
@@ -552,9 +597,12 @@ def test_each_basis_object_gets_its_own_mode_states():
         assert forward._mode_states(p, basis) is images[-1]
     info = forward._mode_states.cache_info()
     assert (info.misses, info.hits) == (3, 3)
-    assert images[0] is not images[1] and np.array_equal(images[0], images[1])
-    assert images[2].shape == (5, g.n_nodes)
-    assert _max_rel_gap(images[2], images[0][:5]) <= 1e-12
+    # the zero field stays zero, so s0 + Z @ S rounds as Z @ S did
+    assert not any(s0.any() for s0, _ in images)
+    S = [S for _, S in images]
+    assert S[0] is not S[1] and np.array_equal(S[0], S[1])
+    assert S[2].shape == (5, g.n_nodes)
+    assert _max_rel_gap(S[2], S[0][:5]) <= 1e-12
 
 
 # -- forward map + accounting ---------------------------------------------------
@@ -588,8 +636,8 @@ KERNELS = {DarcyProblem: solve_darcy, HeatSourceLocProblem: solve_heat_loc}
 @pytest.mark.parametrize("name", list(SPECS))
 def test_forward_map_matches_direct_solver(name):
     # Darcy and heat-loc solve row by row: bit-identical to their kernel.
-    # heat-field maps the batch with dense matmuls, and reaction-diffusion
-    # composes basis-row states; both may round differently from a batch of one.
+    # heat-field and reaction-diffusion compose basis-row states, which may
+    # round differently from a batch of one.
     spec = SPECS[name]
     p = spec.build(12)
     if spec.point is None:

@@ -451,7 +451,7 @@ class FieldStateProblem:
 
     grid: Grid2D
     obs_times = ()
-    linear = True
+    affine = True
 
     def solve_batch(self, P):
         return P

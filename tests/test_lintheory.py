@@ -43,6 +43,16 @@ def test_scalar_fixed_point_golden_ratio():
     assert fp.residual_cov < 1e-11 and fp.residual_mean < 1e-11
 
 
+def test_fixed_point_converges_on_data_of_large_scale():
+    # the tests are relative to the size of the terms they compare: data a
+    # million times larger take about as many iterations and land as close
+    small = solve_fixed_point(scalar_model(y=2.5))
+    fp = solve_fixed_point(scalar_model(y=2.5e6))
+    assert fp.r[0] == pytest.approx(2.5e6, rel=1e-12)
+    assert fp.C[0, 0] == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, abs=1e-10)
+    assert fp.n_iter <= small.n_iter + 5
+
+
 def test_zero_map_fixed_point_is_damped_noise_balance():
     # G = 0, alpha < 1: update keeps C_hat, so C = alpha^2 C + Sigma_omega
     m = LinearModel(G=np.zeros((1, 1)), y=np.zeros(1), alpha=0.5, r0=np.array([1.5]),
