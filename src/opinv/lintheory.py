@@ -10,9 +10,13 @@ a deterministic map on (r, C) whose fixed point (r_inf, C_inf) satisfies
 With alpha = 1 or a zero anchor r0 the mean equation takes its usual
 anchor-free form.
 
-``solve_fixed_point`` iterates the exact map until both the successive change
-and the residuals of these two equations are small next to the size of the
-terms they compare (or, where that is below 1, small in absolute terms).
+``solve_fixed_point`` solves them directly.  They describe the steady state
+of a Kalman filter with transition alpha I, observation G and noises
+(Sigma_omega, Sigma_eta), so P = alpha^2 C_inf + Sigma_omega solves a discrete
+algebraic Riccati equation, C_inf is P after one update with gain K, and
+(I - alpha (I - K G)) r_inf = (1 - alpha) (I - K G) r0 + K y (Anderson &
+Moore 1979, Optimal Filtering).  Both residuals, relative to the size of the
+terms they compare, must lie below 1e-11.
 ``verify_error_bound`` perturbs G along a fixed unit direction, G -> G + eps
 E, and confirms that the fixed-point errors ||r - r_hat|| and ||C^{-1} -
 C_hat^{-1}||_2 shrink at first order in eps (log-log slope near one).
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 
 @dataclass(frozen=True)
@@ -37,13 +42,16 @@ class LinearModel:
     sigma_eta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "G", np.atleast_2d(np.asarray(self.G, dtype=float)))
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
-        object.__setattr__(self, "r0", np.atleast_1d(np.asarray(self.r0, dtype=float)))
-        object.__setattr__(self, "sigma_omega",
-                           np.atleast_2d(np.asarray(self.sigma_omega, dtype=float)))
-        object.__setattr__(self, "sigma_eta",
-                           np.atleast_2d(np.asarray(self.sigma_eta, dtype=float)))
+        G = np.atleast_2d(np.asarray(self.G, dtype=float))
+        p, n = G.shape[0], G.shape[-1]
+        shapes = {"G": (p, n), "y": (p,), "r0": (n,), "sigma_omega": (n, n),
+                  "sigma_eta": (p, p)}
+        for name, shape in shapes.items():
+            value = np.asarray(getattr(self, name), dtype=float)
+            value = np.atleast_2d(value) if len(shape) == 2 else np.atleast_1d(value)
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+            object.__setattr__(self, name, value)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
 
@@ -56,22 +64,25 @@ class LinearModel:
 class FixedPoint:
     r: np.ndarray
     C: np.ndarray
-    n_iter: int
     residual_cov: float
     residual_mean: float
+
+
+def _update(model: LinearModel, C_hat: np.ndarray):
+    """Gain K and updated covariance of the exact update from the predicted
+    covariance C_hat."""
+    GC = model.G @ C_hat
+    K = np.linalg.solve(GC @ model.G.T + model.sigma_eta, GC).T
+    C_new = C_hat - K @ GC
+    return K, 0.5 * (C_new + C_new.T)
 
 
 def exact_update(model: LinearModel, r: np.ndarray, C: np.ndarray):
     """One exact inversion step for the linear model (no sigma points needed)."""
     a = model.alpha
     r_hat = a * r + (1 - a) * model.r0
-    C_hat = a * a * C + model.sigma_omega
-    GC = model.G @ C_hat
-    C_yy = GC @ model.G.T + model.sigma_eta
-    K = np.linalg.solve(C_yy, GC).T
-    r_new = r_hat + K @ (model.y - model.G @ r_hat)
-    C_new = C_hat - K @ GC
-    return r_new, 0.5 * (C_new + C_new.T)
+    K, C_new = _update(model, a * a * C + model.sigma_omega)
+    return r_hat + K @ (model.y - model.G @ r_hat), C_new
 
 
 def _residuals(model: LinearModel, r: np.ndarray, C: np.ndarray):
@@ -91,34 +102,24 @@ def _residuals(model: LinearModel, r: np.ndarray, C: np.ndarray):
     return res, scale
 
 
-def solve_fixed_point(model: LinearModel, tol: float = 1e-12, max_iter: int = 100_000,
-                      r_init: np.ndarray | None = None,
-                      C_init: np.ndarray | None = None) -> FixedPoint:
-    """Iterate the exact map to its fixed point.
-
-    Converged when the successive changes in r and in C drop below tol and
-    both fixed-point residuals below 10 tol, each test relative to the size
-    of the terms it compares where that exceeds 1; raises RuntimeError
-    otherwise.
-    """
-    n = model.n_dim
-    r = np.zeros(n) if r_init is None else np.asarray(r_init, dtype=float).copy()
-    C = np.eye(n) if C_init is None else np.asarray(C_init, dtype=float).copy()
-    for it in range(1, max_iter + 1):
-        r_new, C_new = exact_update(model, r, C)
-        step_r = np.linalg.norm(r_new - r) / max(1.0, np.linalg.norm(r_new), np.linalg.norm(r))
-        step_C = (np.linalg.norm(C_new - C, 2)
-                  / max(1.0, np.linalg.norm(C_new, 2), np.linalg.norm(C, 2)))
-        r, C = r_new, C_new
-        if max(step_r, step_C) < tol:
-            (res_cov, res_mean), (scale_cov, scale_mean) = _residuals(model, r, C)
-            if res_cov < 10 * tol * scale_cov and res_mean < 10 * tol * scale_mean:
-                return FixedPoint(r, C, it, res_cov, res_mean)
-    (res_cov, res_mean), _ = _residuals(model, r, C)
-    raise RuntimeError(
-        f"no fixed point after {max_iter} iterations "
-        f"(residuals cov={res_cov:.3e}, mean={res_mean:.3e})"
-    )
+def solve_fixed_point(model: LinearModel) -> FixedPoint:
+    """Solve the Riccati equation for the predicted covariance, then one linear
+    system for the mean.  Raises RuntimeError if a solve fails or either
+    residual exceeds 1e-11 times the size of the terms it compares."""
+    a, eye = model.alpha, np.eye(model.n_dim)
+    try:
+        P = solve_discrete_are(a * eye, model.G.T, model.sigma_omega, model.sigma_eta)
+        K, C = _update(model, 0.5 * (P + P.T))
+        I_KG = eye - K @ model.G
+        r = np.linalg.solve(eye - a * I_KG, (1 - a) * I_KG @ model.r0 + K @ model.y)
+        (res_cov, res_mean), (scale_cov, scale_mean) = _residuals(model, r, C)
+    except np.linalg.LinAlgError as err:
+        raise RuntimeError(f"no fixed point: {err}") from err
+    # written so that a NaN residual fails too
+    if not (res_cov <= 1e-11 * scale_cov and res_mean <= 1e-11 * scale_mean):
+        raise RuntimeError(f"no fixed point: relative residuals cov={res_cov / scale_cov:.3e}, "
+                           f"mean={res_mean / scale_mean:.3e} above 1e-11")
+    return FixedPoint(r, C, res_cov, res_mean)
 
 
 def gram_min_eigenvalue(model: LinearModel) -> float:
@@ -128,7 +129,7 @@ def gram_min_eigenvalue(model: LinearModel) -> float:
 
 
 def verify_error_bound(model: LinearModel, eps_list=(1e-1, 1e-2, 1e-3, 1e-4),
-                       rng=0, tol: float = 1e-12) -> dict:
+                       rng=0) -> dict:
     """Numerically confirm the first-order perturbation bound.
 
     Perturbs G by eps times a fixed random direction of unit spectral norm,
@@ -141,13 +142,13 @@ def verify_error_bound(model: LinearModel, eps_list=(1e-1, 1e-2, 1e-3, 1e-4),
     E = np.random.default_rng(rng).standard_normal(model.G.shape)
     E /= np.linalg.norm(E, 2)
 
-    base = solve_fixed_point(model, tol=tol)
+    base = solve_fixed_point(model)
     base_C_inv = np.linalg.inv(base.C)
     err_mean, err_cov_inv, gram_mins = [], [], []
     for eps in eps_list:
         pert = replace(model, G=model.G + eps * E)
         gram_mins.append(gram_min_eigenvalue(pert))
-        fp = solve_fixed_point(pert, tol=tol)
+        fp = solve_fixed_point(pert)
         err_mean.append(float(np.linalg.norm(fp.r - base.r)))
         err_cov_inv.append(float(np.linalg.norm(np.linalg.inv(fp.C) - base_C_inv, 2)))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -484,20 +485,39 @@ def test_random_linear_model_reproducible():
 # full inversion pipeline must land on the closed-form fixed point.
 
 
-def test_fem_inversion_matches_linear_fixed_point(tmp_path):
-    cfg = tiny_cfg(problem="heat-field", truth="fixed", grid=9, n_modes=4,
-                   t_steps=150, out_dir=str(tmp_path), seed=11)
-    path = harness.cmd_invert(cfg)
-    rec = harness.load_record(path)
-
-    bench = Bench(cfg)  # same seed, same data
-    b = bench.full_forward(np.zeros((1, 4)))[0]
-    A = (bench.full_forward(np.eye(4)) - b).T
+def linear_model(bench: Bench) -> LinearModel:
+    """The exact linear model of an affine problem: G and the offset read
+    from n_dim + 1 full-order solves, the start state of the inversion."""
+    n, cfg = bench.cfg.n_dim, bench.cfg
+    b = bench.full_forward(np.zeros((1, n)))[0]
     st0 = bench.initial_state()
-    model = LinearModel(G=A, y=bench.data.y_obs - b, alpha=cfg.alpha, r0=st0.r,
-                        sigma_omega=(2.0 - cfg.alpha**2) * st0.C,
-                        sigma_eta=bench.data.noise_cov)
-    # the smoothing forward map is ill-conditioned; 1e-12 residuals are below
-    # the float64 floor here, so solve at 1e-8 and compare at 1e-6
-    fp = solve_fixed_point(model, tol=1e-8)
+    return LinearModel(G=(bench.full_forward(np.eye(n)) - b).T, y=bench.data.y_obs - b,
+                       alpha=cfg.alpha, r0=st0.r,
+                       sigma_omega=(2.0 - cfg.alpha**2) * st0.C,
+                       sigma_eta=bench.data.noise_cov)
+
+
+@pytest.mark.parametrize("case", ["grid9", "desk"])
+def test_fem_inversion_matches_linear_fixed_point(tmp_path, case):
+    cfg = (tiny_cfg(problem="heat-field", truth="fixed", grid=9, n_modes=4, seed=11)
+           if case == "grid9" else preset("heat-field"))
+    cfg = replace(cfg, mode="fem-uki", t_steps=150, out_dir=str(tmp_path)).resolved()
+    rec = harness.load_record(harness.cmd_invert(cfg))
+    # same seed, same data
+    fp = solve_fixed_point(linear_model(Bench(cfg)))
     assert np.allclose(rec["final_r"], fp.r, atol=1e-6)
+
+
+def test_fixed_point_of_ill_conditioned_reaction_diffusion_map():
+    # desk reaction-diffusion's G has condition number ~2e7; at alpha = 1 the
+    # fixed-point mean is the noise-whitened least-squares solution
+    bench = Bench(preset("reaction-diffusion").resolved())
+    model = linear_model(bench)
+    assert model.alpha == 1.0
+    t0 = time.perf_counter()
+    fp = solve_fixed_point(model)
+    assert time.perf_counter() - t0 < 1.0
+    L = np.linalg.cholesky(model.sigma_eta)
+    r_ls = np.linalg.lstsq(np.linalg.solve(L, model.G), np.linalg.solve(L, model.y),
+                           rcond=None)[0]
+    assert np.linalg.norm(fp.r - r_ls) <= 1e-9 * np.linalg.norm(r_ls)
