@@ -2,7 +2,7 @@
 
 Subpackages
 -----------
-grf        Gaussian random field priors (Karhunen-Loeve basis, sampling, field I/O)
+grf        Gaussian random field priors (grid, Karhunen-Loeve basis, sampling)
 forward    Full-order PDE solvers and the parameter-to-state map
 observe    Sensor arrays, synthetic data, noise-weighted misfit
 deeponet   Branch/trunk operator surrogate: evaluation, loss, training
@@ -14,13 +14,12 @@ harness    End-to-end experiment drivers behind the CLI
 cli        Command-line entry point
 """
 
-from opinv.grf import Grid2D, Field, KLBasis, build_kl_basis, sample_field
+from opinv.grf import Grid2D, KLBasis, build_kl_basis, sample_field
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Grid2D",
-    "Field",
     "KLBasis",
     "build_kl_basis",
     "sample_field",

@@ -179,8 +179,7 @@ def speedup(n_dim: int, t_fem: int, q: int, t: int, i_max: int) -> float:
 
 
 def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
-                 alpha: float = 1.0, rng=None, n_probe: int = 0,
-                 on_cycle=None) -> AdaptiveRecord:
+                 alpha: float = 1.0, rng=None, n_probe: int = 0) -> AdaptiveRecord:
     """Drive the full refinement loop.
 
     task is duck-typed and supplies the models, each mapping a (B, n)
@@ -243,10 +242,7 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
                 applied = False
                 refine_failure = f"error at cycle {t}: {exc}"
 
-        rec = CycleRecord(t, anchor, anchor.e, e_m, e_i, applied)
-        record.cycles.append(rec)
-        if on_cycle is not None:
-            on_cycle(rec)
+        record.cycles.append(CycleRecord(t, anchor, anchor.e, e_m, e_i, applied))
         state = GaussianState(anchor.r, anchor.C)
         e_prev = anchor.e
         if refine_failure is not None:

@@ -37,6 +37,13 @@ def _float_tuple(s: str) -> tuple:
     return tuple(float(v) for v in s.split(","))
 
 
+def _positive_int(s: str) -> int:
+    v = int(s)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    return v
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON file of run settings")
     p.add_argument("--problem", choices=PROBLEMS)
@@ -97,8 +104,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="DIR", help="also write report.csv / report.json")
 
     p = sub.add_parser("verify-linear", help="check the linear-case error bound")
-    p.add_argument("--n-dim", dest="n_dim", type=int, default=4)
-    p.add_argument("--n-obs", dest="n_obs", type=int, default=6)
+    p.add_argument("--n-dim", dest="n_dim", type=_positive_int, default=4)
+    p.add_argument("--n-obs", dest="n_obs", type=_positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--eps", type=_float_tuple, default=(1e-1, 1e-2, 1e-3, 1e-4),

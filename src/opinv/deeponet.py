@@ -175,7 +175,7 @@ def encoder_indices(grid, per_axis: int) -> np.ndarray:
 
 
 def encoder_matrix(basis, node_idx: np.ndarray) -> np.ndarray:
-    """Matrix M with sample_field(basis, z).values[node_idx] = z @ M, the
+    """Matrix M with sample_field(basis, z)[node_idx] = z @ M, the
     pointwise readout of a field at the encoder nodes; shape (n_modes, n_enc)."""
     return basis.weighted_modes[:, np.asarray(node_idx, dtype=int)]
 

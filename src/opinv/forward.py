@@ -14,16 +14,16 @@ Four benchmark problems share the grid conventions of :mod:`opinv.grf`:
 * Reaction-diffusion transport of an unknown initial state by a fixed
   divergence-free velocity, zero-flux walls, Crank-Nicolson in time.
 
-Each problem's ``solve_batch`` maps a (B, n) array of parameters to a float
-array of states, one row per parameter: (B, n_nodes), or (B, len(obs_times),
-n_nodes) for a problem that keeps snapshots.  A solve that fails leaves its
-row NaN.  Heat-field maps the whole batch with a few dense matmuls, and
-reaction-diffusion marches it with multi-column SuperLU solves.  Darcy
-builds the band rows of every row's matrix, and checks every residual, in
-whole-batch array ops; only the banded Cholesky runs one row at a time, as
-each field has its own matrix.  Heat-loc solves one row at a time: its rows
-share one matrix, but a multi-column sparse solve need not round each column
-as a single solve does.
+Each problem's one solver entry is ``solve_batch``.  It maps a (B, n)
+array of parameters to a float64 array of states, one row per parameter:
+(B, n_nodes), or (B, len(obs_times), n_nodes) for a problem that keeps
+snapshots.  A solve that fails leaves its row NaN.  Heat-field maps the
+whole batch with a few dense matmuls, and reaction-diffusion marches it with
+multi-column SuperLU solves.  Darcy builds the band rows of every row's
+matrix, and checks every residual, in whole-batch array ops; only the banded
+Cholesky runs one row at a time, as each field has its own matrix.  Heat-loc
+marches one row at a time: its rows share one matrix, but a multi-column
+sparse solve need not round each column as a single solve does.
 
 Each problem class also declares ``affine``: whether its state is an affine
 map of its parameter field.  Heat-field's is (its initial state adds a fixed
@@ -152,10 +152,39 @@ class DarcyProblem:
     affine = False
 
     def solve_batch(self, P) -> np.ndarray:
-        """(B, n_nodes) states of a (B, n_nodes) batch of log-conductivities:
-        ``_darcy_bands`` and the residual check on the whole batch, one banded
-        Cholesky solve per row; a failed solve leaves its row NaN."""
-        return _solve_darcy_rows(self, _rows(P, self.grid))[0]
+        """(B, n_nodes) states of a (B, n_nodes) batch of log-conductivities.
+        ``_darcy_bands`` and the residual check run on the whole batch; only
+        the banded Cholesky runs per row, each row's band filling one reused
+        (ny-1, N) buffer for LAPACK ``pbsv``.  A row is left NaN if a face
+        conductance is not finite, if its Cholesky fails, or if its relative
+        residual is above 1e-10."""
+        g = self.grid
+        b = self.interior_source
+        bands, ok = _darcy_bands(self, _rows(P, g))
+        nyi = g.ny - 2
+        ab = np.zeros((nyi + 1, bands.shape[2]))
+        U_int = np.full((len(bands), bands.shape[2]), np.nan)
+        for i in np.flatnonzero(ok):
+            # north/south first: with ny = 3 both couplings sit at offset 1, row 0
+            ab[nyi - 1], ab[0], ab[nyi] = bands[i, 1], bands[i, 0], bands[i, 2]
+            try:
+                U_int[i] = solveh_banded(ab, b, lower=False, check_finite=False)
+            except LinAlgError:
+                pass  # the row stays NaN
+        # residual by a band matvec on offsets 0, 1 and ny-2; a row that was not
+        # solved, or that overflows, reads NaN or inf and fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = bands[:, 2] * U_int
+            R -= b
+            for k, d in ((1, 1), (0, nyi)):
+                R[:, :-d] += bands[:, k, d:] * U_int[:, d:]
+                R[:, d:] += bands[:, k, d:] * U_int[:, :-d]
+            res = np.sqrt(np.einsum("ij,ij->i", R, R)) / np.linalg.norm(b)
+        del bands, R
+        U = np.zeros((len(U_int), g.n_nodes))
+        U[:, _interior_index(g)] = U_int
+        U[~(res <= 1e-10)] = np.nan
+        return U
 
     def source_values(self) -> np.ndarray:
         _, Y = self.grid.mesh()
@@ -215,63 +244,6 @@ def _darcy_bands(problem: DarcyProblem, P: np.ndarray):
     return bands, ok
 
 
-def darcy_band(problem: DarcyProblem, m: np.ndarray) -> np.ndarray:
-    """``_darcy_bands`` of one field m, shape (3, (nx-2)(ny-2)); raises
-    SolverError if a face conductance is not finite."""
-    bands, ok = _darcy_bands(problem, _rows(np.reshape(m, (1, -1)), problem.grid))
-    if not ok[0]:
-        raise SolverError("face conductance not finite: exp(m) out of range")
-    return bands[0]
-
-
-def _solve_darcy_rows(problem: DarcyProblem, P: np.ndarray):
-    """(U, errors): the (B, n_nodes) states of a batch of log-conductivities,
-    NaN where a solve failed, and each failed row's reason by row index.  Each
-    row's band fills one reused (ny-1, N) buffer for LAPACK ``pbsv``; a row
-    fails if a face conductance is not finite, if the banded Cholesky fails,
-    or if it leaves a relative residual above 1e-10."""
-    g = problem.grid
-    b = problem.interior_source
-    bands, ok = _darcy_bands(problem, P)
-    errors = {i: "face conductance not finite: exp(m) out of range"
-              for i in np.flatnonzero(~ok)}
-    nyi = g.ny - 2
-    ab = np.zeros((nyi + 1, bands.shape[2]))
-    U_int = np.full((len(P), bands.shape[2]), np.nan)
-    for i in np.flatnonzero(ok):
-        # north/south first: with ny = 3 both couplings sit at offset 1, row 0
-        ab[nyi - 1], ab[0], ab[nyi] = bands[i, 1], bands[i, 0], bands[i, 2]
-        try:
-            U_int[i] = solveh_banded(ab, b, lower=False, check_finite=False)
-        except LinAlgError as err:
-            errors[i] = f"banded Cholesky failed: {err}"
-    # residual by a band matvec on offsets 0, 1 and ny-2; a row that was not
-    # solved, or that overflows, reads NaN or inf and fails the check
-    with np.errstate(over="ignore", invalid="ignore"):
-        R = bands[:, 2] * U_int
-        R -= b
-        for k, d in ((1, 1), (0, nyi)):
-            R[:, :-d] += bands[:, k, d:] * U_int[:, d:]
-            R[:, d:] += bands[:, k, d:] * U_int[:, :-d]
-        res = np.sqrt(np.einsum("ij,ij->i", R, R)) / np.linalg.norm(b)
-    del bands, R
-    for i in np.flatnonzero(~(res <= 1e-10)):
-        errors.setdefault(i, f"Darcy solve residual {res[i]:.3e} above 1e-10")
-    U = np.zeros((len(P), g.n_nodes))
-    U[:, _interior_index(g)] = U_int
-    U[list(errors)] = np.nan
-    return U, errors
-
-
-def solve_darcy(problem: DarcyProblem, m: np.ndarray) -> np.ndarray:
-    """Nodal state of the Darcy problem for nodal log-conductivity m: the
-    batch solve of one row; raises SolverError where that row fails."""
-    U, errors = _solve_darcy_rows(problem, _rows(np.reshape(m, (1, -1)), problem.grid))
-    if errors:
-        raise SolverError(errors[0])
-    return U[0]
-
-
 # ---------------------------------------------------------------------------
 # heat equations (implicit Euler)
 
@@ -310,37 +282,35 @@ class HeatSourceLocProblem:
         return (amp * np.exp(-r2 / (2.0 * self.width**2))).ravel()
 
     def solve_batch(self, P) -> np.ndarray:
-        """(B, len(obs_times), n_nodes) snapshots of a (B, 2) batch of
-        centers chi, solved one at a time."""
-        return np.array([solve_heat_loc(self, chi) for chi in P])
-
-
-def solve_heat_loc(problem: HeatSourceLocProblem, chi) -> np.ndarray:
-    """(len(obs_times), n_nodes) states at the observation times for source
-    center chi: a backward-Euler march from u = 0 with zero-flux walls, the
-    constant source on for t <= t_cutoff and off afterwards."""
-    chi = np.asarray(chi, dtype=float).ravel()
-    if chi.size != 2:
-        raise ValueError("chi must be a 2-vector")
-    g = problem.grid
-    dt = 1.0 / problem.n_steps
-    steps = []
-    for t in problem.obs_times:
-        k = t / dt
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError(f"observation time {t} not on a step boundary")
-        steps.append(int(round(k)))
-    src = dt * problem.source_values(chi)
-    lu, w = _neumann_heat_solver(g.nx, g.ny, dt)
-    u = np.zeros(g.n_nodes)
-    snaps = {}
-    for n in range(1, max(steps) + 1):
-        if n * dt <= problem.t_cutoff + 1e-12:
-            u = u + src
-        u = lu.solve(w * u)
-        if n in steps:
-            snaps[n] = u
-    return np.array([snaps[k] for k in steps])
+        """(B, len(obs_times), n_nodes) snapshots of a (B, 2) batch of source
+        centers chi: one backward-Euler march per row from u = 0 with
+        zero-flux walls, the constant source on for t <= t_cutoff and off
+        afterwards."""
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[1] != 2:
+            raise ValueError(f"expected a (B, 2) batch of centers, got shape {P.shape}")
+        g = self.grid
+        dt = 1.0 / self.n_steps
+        steps = []
+        for t in self.obs_times:
+            k = t / dt
+            if abs(k - round(k)) > 1e-9:
+                raise ValueError(f"observation time {t} not on a step boundary")
+            steps.append(int(round(k)))
+        lu, w = _neumann_heat_solver(g.nx, g.ny, dt)
+        out = np.empty((len(P), len(steps), g.n_nodes))
+        for i, chi in enumerate(P):
+            src = dt * self.source_values(chi)
+            u = np.zeros(g.n_nodes)
+            snaps = {}
+            for n in range(1, max(steps) + 1):
+                if n * dt <= self.t_cutoff + 1e-12:
+                    u = u + src
+                u = lu.solve(w * u)
+                if n in steps:
+                    snaps[n] = u
+            out[i] = [snaps[k] for k in steps]
+        return out
 
 
 @dataclass(frozen=True)
@@ -511,4 +481,4 @@ def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = N
     if problem.affine:
         s0, S = _mode_states(problem, basis)
         return s0 + Z @ S
-    return problem.solve_batch(np.array([sample_field(basis, z).values for z in Z]))
+    return problem.solve_batch(np.array([sample_field(basis, z) for z in Z]))

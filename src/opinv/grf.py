@@ -13,18 +13,17 @@ orthonormal in L2 of the unit square.  Modes are ordered by non-increasing
 eigenvalue with ties broken lexicographically by ``(k1, k2)``.
 
 A field draw with coefficients ``zeta`` (i.i.d. standard normal under the
-prior) is ``m(x) = sum_k zeta_k sqrt(lambda_k) psi_k(x)``.
+prior) is ``m(x) = sum_k zeta_k sqrt(lambda_k) psi_k(x)``.  A realized
+field is a flat float64 array of its node values in x-major (C) order, so
+``values.reshape(nx, ny)[i, j]`` is the value at ``(x_i, y_j)``.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_HEADER = struct.Struct("<QQ")  # nx, ny as little-endian uint64
 
 
 @dataclass(frozen=True)
@@ -78,23 +77,6 @@ class Grid2D:
         wy = np.full(self.ny, self.hy)
         wy[0] = wy[-1] = 0.5 * self.hy
         return np.outer(wx, wy).ravel()
-
-
-@dataclass
-class Field:
-    """Scalar nodal field on a Grid2D, stored flat in x-major (C) order."""
-
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
-        if self.values.size != self.grid.n_nodes:
-            raise ValueError(
-                f"field length {self.values.size} != grid nodes {self.grid.n_nodes}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,38 +173,16 @@ def build_kl_basis(
     )
 
 
-def sample_field(basis: KLBasis, zeta: np.ndarray) -> Field:
-    """Realize the field with KL coefficients ``zeta`` on the basis grid."""
+def sample_field(basis: KLBasis, zeta: np.ndarray) -> np.ndarray:
+    """Nodal values (flat, x-major) of the field with KL coefficients
+    ``zeta`` on the basis grid."""
     zeta = np.asarray(zeta, dtype=float).ravel()
     if zeta.size != basis.n_modes:
         raise ValueError(f"zeta length {zeta.size} != n_modes {basis.n_modes}")
-    return Field(basis.grid, zeta @ basis.weighted_modes)
+    return zeta @ basis.weighted_modes
 
 
 def draw_uniform(n_modes: int, rng, low: float = -20.0, high: float = 20.0) -> np.ndarray:
     """Draw uniform KL coefficients (out-of-distribution stress draws)."""
     return np.random.default_rng(rng).uniform(low, high, size=n_modes)
-
-
-# ---------------------------------------------------------------------------
-# field serialization: 16-byte header (nx, ny as <u8) + <f8 node values
-
-
-def write_field_bin(path, f: Field) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(f.grid.nx, f.grid.ny))
-        fh.write(f.values.astype("<f8").tobytes())
-
-
-def read_field_bin(path) -> Field:
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        nx, ny = _HEADER.unpack(head)
-        raw = fh.read()
-    values = np.frombuffer(raw, dtype="<f8")
-    if values.size != nx * ny:
-        raise ValueError(f"{path}: expected {nx * ny} values, found {values.size}")
-    return Field(Grid2D(int(nx), int(ny)), values.copy())
 

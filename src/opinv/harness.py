@@ -37,7 +37,7 @@ from .deeponet import (
     write_loss_history,
 )
 from .forward import EvalLedger, SolverError, forward_map
-from .grf import Field, Grid2D, build_kl_basis, draw_uniform, sample_field, write_field_bin
+from .grf import Grid2D, build_kl_basis, draw_uniform, sample_field
 from .lintheory import LinearModel, verify_error_bound
 from .observe import (
     SensorArray,
@@ -55,8 +55,8 @@ from .uki import GaussianState, UKIConfig, run_uki
 
 
 def make_truth(cfg: RunConfig, grid: Grid2D):
-    """Reference parameter for data synthesis, and its field (None for a
-    point parameter, whose truth is the spec's fixed one).
+    """Reference parameter for data synthesis, and its field's node values
+    (None for a point parameter, whose truth is the spec's fixed one).
 
     Field recipes draw twice as many modes as are inverted, so the target is
     never exactly representable; the fixed recipe uses a closed-form field."""
@@ -66,7 +66,7 @@ def make_truth(cfg: RunConfig, grid: Grid2D):
     if cfg.truth == "fixed":
         X, Y = grid.mesh()
         values = np.sin(np.pi * X) * np.cos(np.pi * Y)
-        return None, Field(grid, values.ravel())
+        return None, values.ravel()
     rng = cfg.rng("truth")
     n_t = 2 * cfg.n_modes
     basis_t = build_kl_basis(grid, n_t)
@@ -96,7 +96,7 @@ class Bench:
 
         self.truth_param, self.m_ref = make_truth(cfg, self.grid)
         # what the solver takes: the truth field's values, or the point parameter
-        self.truth = self.truth_param if self.m_ref is None else self.m_ref.values
+        self.truth = self.truth_param if self.m_ref is None else self.m_ref
         (self.truth_state,) = _solved(self.problem.solve_batch(self.truth[None]))
         y_ref = self.readings(self.truth_state[None])[0]
         self.data = synthesize_data(y_ref, cfg.delta, rng=cfg.rng("noise"))
@@ -128,13 +128,13 @@ class Bench:
             return Z
         return Z @ self.enc_matrix
 
-    def field_of(self, z) -> Field | None:
+    def field_of(self, z) -> np.ndarray | None:
         if self.basis is None:
             return None
         return sample_field(self.basis, z)
 
     def inversion_error(self, z) -> float:
-        estimate = np.asarray(z) if self.basis is None else self.field_of(z).values
+        estimate = np.asarray(z) if self.basis is None else self.field_of(z)
         return relative_inversion_error(estimate, self.truth)
 
     def initial_state(self) -> GaussianState:
@@ -250,8 +250,16 @@ def _series_row(cycle, e_d=None, e_m=None, e_i=None) -> dict:
     return {"cycle": int(cycle), "e_d": e_d, "e_m": e_m, "e_i": e_i}
 
 
-def save_record(out_dir, record: RunRecord, m_hat: Field | None = None,
-                m_ref: Field | None = None) -> Path:
+def save_fields(out_dir, fields: dict) -> None:
+    """Write each (nx, ny) array of ``fields`` as out_dir/fields/<name>.npy."""
+    fdir = Path(out_dir) / "fields"
+    fdir.mkdir(parents=True, exist_ok=True)
+    for name, values in fields.items():
+        np.save(fdir / f"{name}.npy", values)
+
+
+def save_record(out_dir, record: RunRecord, fields: dict | None = None) -> Path:
+    """Write record.json, series.csv and ``save_fields(out_dir, fields)``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "record.json"
@@ -264,13 +272,8 @@ def save_record(out_dir, record: RunRecord, m_hat: Field | None = None,
                 "" if row[k] is None else repr(float(row[k]))
                 for k in ("e_d", "e_m", "e_i")]
             fh.write(",".join(cells) + "\n")
-    if m_hat is not None or m_ref is not None:
-        fdir = out / "fields"
-        fdir.mkdir(exist_ok=True)
-        if m_hat is not None:
-            write_field_bin(fdir / "m_hat.bin", m_hat)
-        if m_ref is not None:
-            write_field_bin(fdir / "m_ref.bin", m_ref)
+    if fields:
+        save_fields(out, fields)
     return path
 
 
@@ -447,9 +450,13 @@ def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     m_hat = bench.field_of(np.array(record.final_r))
+    fields = None
     if m_hat is None:  # a point estimate goes into the record itself
         record.extras["chi_hat"] = record.final_r
-    path = save_record(out, record, m_hat=m_hat, m_ref=bench.m_ref)
+    else:
+        shape = (bench.grid.nx, bench.grid.ny)
+        fields = {"m_hat": m_hat.reshape(shape), "m_ref": bench.m_ref.reshape(shape)}
+    path = save_record(out, record, fields)
     cfg.save(out / "config.json")
     save_observation(out / "observations.json", bench.data, bench.sensors)
     if surrogate is not None:
@@ -572,12 +579,11 @@ def cmd_solve_forward(cfg: RunConfig, out_dir=None) -> str:
     bench = Bench(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fdir = out / "fields"
-    fdir.mkdir(exist_ok=True)
-    for i, u in enumerate(bench.truth_state.reshape(-1, bench.grid.n_nodes)):
-        write_field_bin(fdir / f"state_{i}.bin", Field(bench.grid, u))
+    shape = (bench.grid.nx, bench.grid.ny)
+    fields = {f"state_{i}": u for i, u in enumerate(bench.truth_state.reshape(-1, *shape))}
     if bench.m_ref is not None:
-        write_field_bin(fdir / "m_ref.bin", bench.m_ref)
+        fields["m_ref"] = bench.m_ref.reshape(shape)
+    save_fields(out, fields)
     save_observation(out / "observations.json", bench.data, bench.sensors)
     cfg.save(out / "config.json")
     return str(out / "observations.json")
@@ -593,8 +599,6 @@ def cmd_sample_prior(cfg: RunConfig, n: int = 4, out_dir=None) -> str:
     if cfg.spec.point is None:
         grid = Grid2D(cfg.grid, cfg.grid)
         basis = build_kl_basis(grid, cfg.n_modes)
-        fdir = out / "fields"
-        fdir.mkdir(exist_ok=True)
-        for i, z in enumerate(params):
-            write_field_bin(fdir / f"sample_{i}.bin", sample_field(basis, z))
+        save_fields(out, {f"sample_{i}": sample_field(basis, z).reshape(grid.nx, grid.ny)
+                          for i, z in enumerate(params)})
     return str(out / "params.csv")

@@ -44,6 +44,8 @@ class LinearModel:
     def __post_init__(self):
         G = np.atleast_2d(np.asarray(self.G, dtype=float))
         p, n = G.shape[0], G.shape[-1]
+        if G.size == 0:
+            raise ValueError(f"G has shape {G.shape}, expected at least one row and column")
         shapes = {"G": (p, n), "y": (p,), "r0": (n,), "sigma_omega": (n, n),
                   "sigma_eta": (p, p)}
         for name, shape in shapes.items():

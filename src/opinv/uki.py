@@ -94,7 +94,6 @@ class SigmaEnsemble:
     """2 n + 1 sigma points (row 0 is the center) with their shared weight."""
 
     points: np.ndarray
-    spread: float
     weight: float
 
 
@@ -113,7 +112,7 @@ def sigma_points(state: GaussianState) -> SigmaEnsemble:
     pts[0] = state.r
     pts[1:n + 1] = state.r + c * L.T  # row j of L.T is the j-th column of L
     pts[n + 1:] = state.r - c * L.T
-    return SigmaEnsemble(pts, c, w)
+    return SigmaEnsemble(pts, w)
 
 
 def _predict(state: GaussianState, cfg: UKIConfig) -> GaussianState:

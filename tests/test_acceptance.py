@@ -25,8 +25,6 @@ from opinv.forward import (
     HeatSourceFieldProblem,
     HeatSourceLocProblem,
     ReactionDiffusionProblem,
-    solve_darcy,
-    solve_heat_loc,
 )
 from opinv.grf import Grid2D
 from opinv.harness import (
@@ -194,7 +192,7 @@ def test_criterion_5_solver_orders_and_mass():
             def source_values(self):
                 return f.ravel()
 
-        u = solve_darcy(PDarcy(g), (X + Y).ravel())
+        (u,) = PDarcy(g).solve_batch((X + Y).reshape(1, -1))
         errs.append(_l2_error(g, u, s.ravel()))
         hs.append(1.0 / (n - 1))
     orders["darcy"] = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
@@ -225,8 +223,8 @@ def test_criterion_5_solver_orders_and_mass():
             def source_values(self, chi):
                 return base  # steady manufactured forcing, center ignored
 
-        (u,) = solve_heat_loc(PLoc(g, t_cutoff=1.0, obs_times=(0.5,), n_steps=steps),
-                              (0.3, 0.4))
+        ((u,),) = PLoc(g, t_cutoff=1.0, obs_times=(0.5,),
+                       n_steps=steps).solve_batch([(0.3, 0.4)])
         exact = (1.0 - math.exp(-PI**2)) / (2 * PI**2) * base
         errs.append(_l2_error(g, u, exact))
         hs.append(1.0 / (n - 1))

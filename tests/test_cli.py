@@ -7,6 +7,8 @@ import pytest
 from opinv import cli
 from opinv.cli import build_config, main, make_parser
 from opinv.config import RunConfig
+from opinv.grf import Grid2D, build_kl_basis, sample_field
+from opinv.harness import Bench
 
 
 def parse(*argv):
@@ -123,13 +125,30 @@ def test_verify_linear_exit_codes(tmp_path, capsys):
     assert "error" in rep
 
 
+@pytest.mark.parametrize("flag", ["--n-dim", "--n-obs"])
+def test_verify_linear_rejects_sizes_below_one(flag, capsys):
+    # a usage error, exit code 2, before any linear algebra runs
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-linear", flag, "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1, got 0" in err
+    assert "Traceback" not in err
+
+
 def test_solve_forward_cli(tmp_path, capsys):
     out = tmp_path / "fwd"
-    assert main(["solve-forward", "--problem", "heat-field", "--grid", "9",
-                 "--n-modes", "4", "--sensor-axis", "3",
-                 "--out-dir", str(out)]) == 0
+    flags = ["--problem", "heat-field", "--grid", "9", "--n-modes", "4",
+             "--sensor-axis", "3", "--out-dir", str(out)]
+    assert main(["solve-forward", *flags]) == 0
     assert (out / "observations.json").exists()
-    assert (out / "fields" / "m_ref.bin").exists()
+    # the written fields are the bench's truth and its state, as (nx, ny) arrays
+    bench = Bench(build_config(parse("solve-forward", *flags)))
+    m_ref = np.load(out / "fields" / "m_ref.npy", allow_pickle=False)
+    assert m_ref.shape == (9, 9)
+    assert np.array_equal(m_ref.ravel(), bench.truth)
+    state = np.load(out / "fields" / "state_0.npy", allow_pickle=False)
+    assert np.array_equal(state, bench.truth_state.reshape(9, 9))
 
 
 def test_sample_prior_cli(tmp_path, capsys):
@@ -138,6 +157,10 @@ def test_sample_prior_cli(tmp_path, capsys):
                  "--n", "2", "--out-dir", str(out)]) == 0
     params = np.loadtxt(out / "params.csv", delimiter=",")
     assert params.shape == (2, 3)
+    basis = build_kl_basis(Grid2D(8, 8), 3)
+    for i, z in enumerate(params):
+        sample = np.load(out / "fields" / f"sample_{i}.npy", allow_pickle=False)
+        assert np.array_equal(sample, sample_field(basis, z).reshape(8, 8))
 
 
 def test_invert_without_checkpoint_fails(tmp_path):

@@ -332,8 +332,8 @@ def test_training_set_shape_validation():
 
 
 def encode(f, node_idx):
-    """Oracle for encoder_matrix: pointwise readout of a Field at the nodes."""
-    return f.values[np.asarray(node_idx, dtype=int)]
+    """Oracle for encoder_matrix: pointwise readout of a field's node values."""
+    return f[np.asarray(node_idx, dtype=int)]
 
 
 def test_encoder_all_nodes_is_identity():
@@ -341,7 +341,7 @@ def test_encoder_all_nodes_is_identity():
     idx = encoder_indices(grid, 5)
     basis = build_kl_basis(grid, 3)
     f = sample_field(basis, np.array([1.0, -2.0, 0.5]))
-    np.testing.assert_array_equal(encode(f, idx), f.values)
+    np.testing.assert_array_equal(encode(f, idx), f)
 
 
 def test_encoder_matrix_matches_pointwise_readout():

@@ -14,13 +14,9 @@ from opinv.forward import (
     HeatSourceFieldProblem,
     HeatSourceLocProblem,
     ReactionDiffusionProblem,
-    SolverError,
     advection_operator,
-    darcy_band,
     forward_map,
     neumann_laplacian,
-    solve_darcy,
-    solve_heat_loc,
 )
 from opinv.grf import Grid2D, build_kl_basis, sample_field
 
@@ -146,7 +142,7 @@ class _ManufacturedDarcy(DarcyProblem):
 def test_darcy_manufactured_constant_coefficient():
     g = Grid2D(17, 17)
     X, Y = g.mesh()
-    u = solve_darcy(_ManufacturedDarcy(g), np.zeros(g.n_nodes))
+    (u,) = _ManufacturedDarcy(g).solve_batch(np.zeros((1, g.n_nodes)))
     exact = (np.sin(PI * X) * np.sin(PI * Y)).ravel()
     assert l2_error(g, u, exact) < 2e-3
     assert np.all(u[X.ravel() == 0.0] == 0.0)  # Dirichlet wall
@@ -166,7 +162,7 @@ def test_darcy_manufactured_variable_coefficient():
         def source_values(self):
             return f.ravel()
 
-    u = solve_darcy(P(g), (X + Y).ravel())
+    (u,) = P(g).solve_batch((X + Y).reshape(1, -1))
     err = l2_error(g, u, s.ravel())
     assert err < 2e-3
 
@@ -184,7 +180,7 @@ def test_darcy_banded_source_levels():
 def test_darcy_positive_source_gives_nonnegative_state():
     g = Grid2D(16, 16)
     b = build_kl_basis(g, 16)
-    u = solve_darcy(DarcyProblem(g), sample_field(b, prior_draw(16, 11)).values)
+    (u,) = DarcyProblem(g).solve_batch(sample_field(b, prior_draw(16, 11))[None])
     assert u.min() > -1e-10  # discrete maximum principle (M-matrix)
 
 
@@ -193,14 +189,40 @@ def test_darcy_prior_draw_magnitude():
     # in the tens-to-low-hundreds range
     g = Grid2D(70, 70)
     b = build_kl_basis(g, 128)
-    u = solve_darcy(DarcyProblem(g), sample_field(b, prior_draw(128, 0)).values)
+    (u,) = DarcyProblem(g).solve_batch(sample_field(b, prior_draw(128, 0))[None])
     assert 10.0 < u.max() < 500.0
 
 
+def _good_darcy_rows(g, n):
+    basis = build_kl_basis(g, 8)
+    return [sample_field(basis, prior_draw(8, s)) for s in range(n)]
+
+
+def _check_failed_rows(p, P, failed):
+    """The rows ``failed`` of batch P solve to NaN; every other row is finite
+    and bit-identical to its own one-row batch."""
+    U = p.solve_batch(P)
+    assert U.shape == (len(P), p.grid.n_nodes)
+    for i, m in enumerate(P):
+        if i in failed:
+            assert np.all(np.isnan(U[i]))
+        else:
+            (want,) = p.solve_batch(m[None])
+            assert np.all(np.isfinite(want))
+            assert np.array_equal(U[i], want)
+
+
+def _diagonal(p, m):
+    """The diagonal band row of field m's Darcy matrix, as ``pbsv`` gets it."""
+    return forward._darcy_bands(p, m[None])[0][0, 2]
+
+
+@pytest.mark.filterwarnings("error")
 def test_darcy_rejects_overflowing_coefficient():
     g = Grid2D(8, 8)
-    with pytest.raises(SolverError):
-        solve_darcy(DarcyProblem(g), np.full(64, 800.0))
+    good = _good_darcy_rows(g, 2)
+    _check_failed_rows(DarcyProblem(g), np.array([good[0], np.full(64, 800.0), good[1]]),
+                       {1})
 
 
 @pytest.mark.filterwarnings("error")
@@ -209,8 +231,9 @@ def test_darcy_rejects_overflowing_face_conductance(level):
     # exp(m) is finite, but the harmonic face mean 2pq/(p+q) overflows:
     # to inf at m = 400, to inf/inf = NaN at m = 709.  Nothing may warn.
     g = Grid2D(8, 8)
-    with pytest.raises(SolverError, match="face conductance"):
-        solve_darcy(DarcyProblem(g), np.full(64, level))
+    good = _good_darcy_rows(g, 2)
+    _check_failed_rows(DarcyProblem(g), np.array([good[0], good[1], np.full(64, level)]),
+                       {2})
 
 
 def _darcy_by_coo_assembly(problem, m):
@@ -240,8 +263,8 @@ def _darcy_by_coo_assembly(problem, m):
 
 
 def _bands_to_dense(bands, ny):
-    """Symmetric matrix of darcy_band's compact rows: the upper band rows at
-    offsets ny-2, 1 and 0 of LAPACK band storage."""
+    """Symmetric matrix of one row of ``_darcy_bands``: the upper band rows
+    at offsets ny-2, 1 and 0 of LAPACK band storage."""
     n = bands.shape[1]
     A = np.zeros((n, n))
     for row, d in zip(bands, (ny - 2, 1, 0)):
@@ -254,15 +277,17 @@ def _bands_to_dense(bands, ny):
 
 def _darcy_case(n, seed):
     g = Grid2D(n, n + 3)
-    return DarcyProblem(g), sample_field(build_kl_basis(g, 16), 2.0 * prior_draw(16, seed)).values
+    return DarcyProblem(g), sample_field(build_kl_basis(g, 16), 2.0 * prior_draw(16, seed))
 
 
 def test_darcy_band_is_bit_identical_to_coo_assembly():
     for n, seed in ((9, 0), (13, 1), (24, 2)):
         problem, m = _darcy_case(n, seed)
         A, _ = _darcy_by_coo_assembly(problem, m)
-        bands = darcy_band(problem, m)
-        assert bands.shape == (3, (n - 2) * (n + 1))  # (3, interior nodes)
+        bands, ok = forward._darcy_bands(problem, m[None])
+        assert ok.tolist() == [True]
+        assert bands.shape == (1, 3, (n - 2) * (n + 1))  # (rows, 3, interior nodes)
+        bands = bands[0]
         assert np.array_equal(_bands_to_dense(bands, n + 3), A.toarray())
 
 
@@ -272,41 +297,40 @@ def test_darcy_solve_matches_coo_splu_reference():
         A, interior = _darcy_by_coo_assembly(problem, m)
         want = np.zeros(problem.grid.n_nodes)
         want[interior] = spla.splu(A.tocsc()).solve(problem.source_values()[interior])
-        got = solve_darcy(problem, m)
+        (got,) = problem.solve_batch(m[None])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_darcy_factorization_failure_is_a_solver_error(monkeypatch):
-    # row 1's factorization fails: a SolverError, which leaves row 1 of the
-    # batch NaN while the other rows are solved
+@pytest.mark.filterwarnings("error")
+def test_darcy_failed_factorization_row_is_nan(monkeypatch):
     g = Grid2D(10, 10)
-    basis = build_kl_basis(g, 8)
-    Z = np.array([prior_draw(8, s) for s in (1, 2, 3)])
-    want = forward_map(DarcyProblem(g), basis, Z)
-    bad = darcy_band(DarcyProblem(g), sample_field(basis, Z[1]).values)
+    p = DarcyProblem(g)
+    P = np.array(_good_darcy_rows(g, 3))
+    bad = _diagonal(p, P[1])
 
     def solveh(ab, b, **kw):
-        if np.array_equal(ab[-1], bad[2]):  # the diagonal
+        if np.array_equal(ab[-1], bad):
             raise LinAlgError("2-th leading minor not positive definite")
         return solveh_banded(ab, b, **kw)
 
     monkeypatch.setattr(forward, "solveh_banded", solveh)
-    with pytest.raises(SolverError, match="banded Cholesky"):
-        solve_darcy(DarcyProblem(g), sample_field(basis, Z[1]).values)
-    states = forward_map(DarcyProblem(g), basis, Z)
-    assert states.shape == (3, g.n_nodes)
-    assert np.all(np.isnan(states[1]))
-    for i in (0, 2):
-        assert np.array_equal(states[i], want[i])
+    _check_failed_rows(p, P, {1})
 
 
-def test_darcy_residual_check_raises(monkeypatch):
+@pytest.mark.filterwarnings("error")
+def test_darcy_failed_residual_row_is_nan(monkeypatch):
+    # a solution off by 1e-8 relative leaves a residual above 1e-10
     g = Grid2D(10, 10)
-    m = sample_field(build_kl_basis(g, 8), prior_draw(8, 1)).values
-    monkeypatch.setattr(forward, "solveh_banded",
-                        lambda ab, b, **kw: solveh_banded(ab, b, **kw) * (1 + 1e-8))
-    with pytest.raises(SolverError, match="residual"):
-        solve_darcy(DarcyProblem(g), m)
+    p = DarcyProblem(g)
+    P = np.array(_good_darcy_rows(g, 3))
+    bad = _diagonal(p, P[0])
+
+    def solveh(ab, b, **kw):
+        u = solveh_banded(ab, b, **kw)
+        return u * (1 + 1e-8) if np.array_equal(ab[-1], bad) else u
+
+    monkeypatch.setattr(forward, "solveh_banded", solveh)
+    _check_failed_rows(p, P, {0})
 
 
 @pytest.mark.filterwarnings("error")
@@ -317,11 +341,10 @@ def test_darcy_batch_rows_equal_one_row_solves(nx, ny, monkeypatch):
     # one, the failed rows NaN, and nothing warns
     g = Grid2D(nx, ny)
     p = DarcyProblem(g)
-    basis = build_kl_basis(g, 8)
-    good = [sample_field(basis, prior_draw(8, s)).values for s in range(7)]
+    good = _good_darcy_rows(g, 7)
     P = np.array([good[0], np.full(g.n_nodes, 800.0), good[1], good[2], good[3],
                   good[4], good[5], good[6]])
-    chol_diag, res_diag = darcy_band(p, P[3])[2], darcy_band(p, P[5])[2]
+    chol_diag, res_diag = _diagonal(p, P[3]), _diagonal(p, P[5])
 
     def solveh(ab, b, **kw):
         if np.array_equal(ab[-1], chol_diag):
@@ -330,21 +353,12 @@ def test_darcy_batch_rows_equal_one_row_solves(nx, ny, monkeypatch):
         return u * (1 + 1e-8) if np.array_equal(ab[-1], res_diag) else u
 
     monkeypatch.setattr(forward, "solveh_banded", solveh)
-    U = p.solve_batch(P)
-    assert U.shape == (8, g.n_nodes)
-    for i, match in ((1, "face conductance"), (3, "banded Cholesky"), (5, "residual")):
-        assert np.all(np.isnan(U[i]))
-        with pytest.raises(SolverError, match=match):
-            solve_darcy(p, P[i])
-    for i in (0, 2, 4, 6, 7):
-        (want,) = p.solve_batch(P[i][None])
-        assert np.all(np.isfinite(want))
-        assert np.array_equal(U[i], want)
+    _check_failed_rows(p, P, {1, 3, 5})
 
 
 def test_darcy_grid_mismatch():
     with pytest.raises(ValueError):
-        solve_darcy(DarcyProblem(Grid2D(8, 8)), np.zeros(36))
+        DarcyProblem(Grid2D(8, 8)).solve_batch(np.zeros(64))
     with pytest.raises(ValueError):
         DarcyProblem(Grid2D(8, 8)).solve_batch(np.zeros((2, 36)))
 
@@ -354,7 +368,7 @@ def test_darcy_grid_mismatch():
 
 def test_heat_loc_zero_strength_gives_zero_state():
     p = HeatSourceLocProblem(Grid2D(12, 12), strength=0.0)
-    u1, u2 = solve_heat_loc(p, (0.4, 0.7))
+    ((u1, u2),) = p.solve_batch([(0.4, 0.7)])
     assert np.all(u1 == 0.0)
     assert np.all(u2 == 0.0)
 
@@ -362,7 +376,7 @@ def test_heat_loc_zero_strength_gives_zero_state():
 def test_heat_loc_mass_budget_and_conservation():
     g = Grid2D(24, 24)
     p = HeatSourceLocProblem(g)
-    u1, u2 = solve_heat_loc(p, (0.2, 0.2))
+    ((u1, u2),) = p.solve_batch([(0.2, 0.2)])
     w = g.trapezoid_weights()
     src_mass = w @ p.source_values((0.2, 0.2))
     # backward Euler adds dt * (source mass) per active step, exactly
@@ -373,7 +387,7 @@ def test_heat_loc_mass_budget_and_conservation():
 
 def test_heat_loc_state_peaks_near_source():
     g = Grid2D(25, 25)
-    u1, _ = solve_heat_loc(HeatSourceLocProblem(g), (0.25, 0.75))
+    ((u1, _),) = HeatSourceLocProblem(g).solve_batch([(0.25, 0.75)])
     k = int(np.argmax(u1))
     x, y = g.nodes()[k]
     assert abs(x - 0.25) <= 2 * g.hx and abs(y - 0.75) <= 2 * g.hy
@@ -381,13 +395,15 @@ def test_heat_loc_state_peaks_near_source():
 
 def test_heat_loc_rejects_off_step_observation_time():
     p = HeatSourceLocProblem(Grid2D(8, 8), obs_times=(0.07, 0.15), n_steps=10)
-    with pytest.raises(ValueError):
-        solve_heat_loc(p, (0.5, 0.5))
+    with pytest.raises(ValueError, match="step boundary"):
+        p.solve_batch([(0.5, 0.5)])
 
 
 def test_heat_loc_rejects_bad_chi():
-    with pytest.raises(ValueError):
-        solve_heat_loc(HeatSourceLocProblem(Grid2D(8, 8)), (0.1, 0.2, 0.3))
+    p = HeatSourceLocProblem(Grid2D(8, 8))
+    for P in ([(0.1, 0.2, 0.3)], (0.1, 0.2)):
+        with pytest.raises(ValueError, match=r"\(B, 2\) batch"):
+            p.solve_batch(P)
 
 
 # -- heat, source field --------------------------------------------------------
@@ -566,7 +582,7 @@ def _check_composed_forward_map(p):
     # with one ledger tick per row
     basis = build_kl_basis(p.grid, 16)
     Z = np.array([prior_draw(16, s) for s in range(7)])
-    want = p.solve_batch(np.array([sample_field(basis, z).values for z in Z]))
+    want = p.solve_batch(np.array([sample_field(basis, z) for z in Z]))
     forward._mode_states.cache_clear()
     led = EvalLedger()
     for _ in range(2):
@@ -629,13 +645,9 @@ def _max_rel_gap(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-# per-row kernels of the problems that solve one row at a time
-KERNELS = {DarcyProblem: solve_darcy, HeatSourceLocProblem: solve_heat_loc}
-
-
 @pytest.mark.parametrize("name", list(SPECS))
 def test_forward_map_matches_direct_solver(name):
-    # Darcy and heat-loc solve row by row: bit-identical to their kernel.
+    # Darcy and heat-loc solve row by row: bit-identical to one-row batches.
     # heat-field and reaction-diffusion compose basis-row states, which may
     # round differently from a batch of one.
     spec = SPECS[name]
@@ -643,20 +655,19 @@ def test_forward_map_matches_direct_solver(name):
     if spec.point is None:
         basis = build_kl_basis(p.grid, 8)
         Z = np.array([prior_draw(8, s) for s in range(5)])
-        params = np.array([sample_field(basis, z).values for z in Z])
+        params = np.array([sample_field(basis, z) for z in Z])
     else:
         basis = None
         Z = np.random.default_rng(0).uniform(0.2, 0.8, (5, len(spec.point.truth)))
         params = Z
     states = forward_map(p, basis, Z)
     assert len(states) == 5
-    kernel = KERNELS.get(spec.problem_class)
     for got, param in zip(states, params):
-        if kernel is not None:
-            assert np.array_equal(got, kernel(p, param))
-        else:
-            (want,) = p.solve_batch(param[None])
+        (want,) = p.solve_batch(param[None])
+        if p.affine:
             assert _max_rel_gap(got, want) <= 1e-12
+        else:
+            assert np.array_equal(got, want)
 
 
 def test_forward_map_keeps_a_failed_darcy_row_in_place():
@@ -667,7 +678,7 @@ def test_forward_map_keeps_a_failed_darcy_row_in_place():
     states = forward_map(DarcyProblem(g), basis, Z, led, "fem-uki")
     assert np.all(np.isnan(states[1]))
     for i in (0, 2):
-        want = solve_darcy(DarcyProblem(g), sample_field(basis, Z[i]).values)
+        (want,) = DarcyProblem(g).solve_batch(sample_field(basis, Z[i])[None])
         assert np.array_equal(states[i], want)
     assert led.counts == {"fem-uki": 3}  # every row attempted and counted
 

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opinv.grf import (
-    Field,
-    Grid2D,
-    build_kl_basis,
-    draw_uniform,
-    kl_eigenvalue,
-    read_field_bin,
-    sample_field,
-    write_field_bin,
-)
+from opinv.grf import Grid2D, build_kl_basis, draw_uniform, kl_eigenvalue, sample_field
 
 PI = math.pi
 
@@ -42,16 +33,6 @@ def test_trapezoid_weights_sum_to_area():
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
     # corner weight is hx/2 * hy/2
     assert w[0] == pytest.approx(g.hx * g.hy / 4)
-
-
-def test_field_validation():
-    g = Grid2D(3, 3)
-    with pytest.raises(ValueError):
-        Field(g, np.zeros(8))
-    with pytest.raises(ValueError):
-        Field(g, np.full(9, np.nan))
-    f = Field(g, np.arange(9))
-    assert f.values.reshape(3, 3)[2, 1] == 7  # value at (x_2, y_1)
 
 
 # -- eigenvalues ------------------------------------------------------------
@@ -149,9 +130,8 @@ def test_sample_field_is_linear_in_zeta():
     rng = np.random.default_rng(0)
     z1, z2 = rng.standard_normal(5), rng.standard_normal(5)
     f12 = sample_field(b, z1 + z2)
-    assert np.allclose(f12.values, sample_field(b, z1).values + sample_field(b, z2).values,
-                       atol=1e-14)
-    assert np.all(sample_field(b, np.zeros(5)).values == 0.0)
+    assert np.allclose(f12, sample_field(b, z1) + sample_field(b, z2), atol=1e-14)
+    assert np.all(sample_field(b, np.zeros(5)) == 0.0)
 
 
 def test_sample_single_mode():
@@ -159,7 +139,19 @@ def test_sample_single_mode():
     e2 = np.zeros(4)
     e2[2] = 1.0
     f = sample_field(b, e2)
-    assert np.allclose(f.values, math.sqrt(b.eigenvalues[2]) * b.modes[2])
+    assert f.shape == (36,) and f.dtype == np.float64
+    assert np.allclose(f, math.sqrt(b.eigenvalues[2]) * b.modes[2])
+
+
+def test_sample_field_is_x_major():
+    # mode (1, 0) varies along x only: row i of the (nx, ny) view is x_i
+    g = Grid2D(6, 4)
+    b = build_kl_basis(g, 3)
+    z = np.zeros(3)
+    k = [tuple(w) for w in b.wavenumbers].index((1, 0))
+    z[k] = 1.0
+    want = math.sqrt(2.0 * b.eigenvalues[k]) * np.cos(PI * g.xs)
+    assert np.allclose(sample_field(b, z).reshape(6, 4), want[:, None], atol=1e-15)
 
 
 def test_sample_field_rejects_wrong_length():
@@ -190,31 +182,6 @@ def test_uniform_draw_range_and_variance():
     z = draw_uniform(200_000, np.random.default_rng(1))
     assert z.min() >= -20.0 and z.max() <= 20.0
     assert z.var() == pytest.approx(400.0 / 3.0, rel=0.02)
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def test_field_bin_roundtrip(tmp_path):
-    g = Grid2D(6, 4)
-    f = Field(g, np.random.default_rng(3).standard_normal(24))
-    p = tmp_path / "f.bin"
-    write_field_bin(p, f)
-    f2 = read_field_bin(p)
-    assert f2.grid == g
-    assert np.array_equal(f2.values, f.values)
-    # 16-byte header + 24 doubles
-    assert p.stat().st_size == 16 + 24 * 8
-
-
-def test_read_bin_rejects_truncation(tmp_path):
-    p = tmp_path / "bad.bin"
-    g = Grid2D(3, 3)
-    write_field_bin(p, Field(g, np.zeros(9)))
-    data = p.read_bytes()
-    p.write_bytes(data[:-8])
-    with pytest.raises(ValueError):
-        read_field_bin(p)
 
 
 def test_build_kl_basis_validation():

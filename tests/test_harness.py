@@ -75,7 +75,7 @@ def test_truth_idd_uses_double_mode_count():
     assert zeta.shape == (2 * cfg.n_modes,)
     zeta2, m2 = make_truth(cfg, grid)
     assert np.array_equal(zeta, zeta2)
-    assert np.array_equal(m_ref.values, m2.values)
+    assert np.array_equal(m_ref, m2)
     # target genuinely outside the inverted span: high modes carry weight
     assert np.linalg.norm(zeta[cfg.n_modes:]) > 0
 
@@ -92,7 +92,7 @@ def test_truth_fixed_closed_form():
     zeta, m_ref = make_truth(cfg, grid)
     assert zeta is None
     X, Y = grid.mesh()
-    assert np.allclose(m_ref.values.reshape(grid.nx, grid.ny), np.sin(np.pi * X) * np.cos(np.pi * Y))
+    assert np.allclose(m_ref.reshape(grid.nx, grid.ny), np.sin(np.pi * X) * np.cos(np.pi * Y))
 
 
 def test_truth_heat_loc_fixed_center():
@@ -127,7 +127,7 @@ def test_bench_encode_reads_lattice_nodes(bench):
     cfg = bench.cfg
     z = np.linspace(-1, 1, cfg.n_modes)
     idx = encoder_indices(bench.grid, cfg.encoder_axis)
-    expected = sample_field(bench.basis, z).values[idx]
+    expected = sample_field(bench.basis, z)[idx]
     assert np.allclose(bench.encode(z)[0], expected)
 
 
@@ -294,9 +294,17 @@ def test_failed_rows_score_inf_and_refinement_raises(bench, trained):
 # -- persistence --------------------------------------------------------------
 
 
+def load_field(path) -> np.ndarray:
+    return np.load(path, allow_pickle=False)
+
+
+def grid_shape(bench) -> tuple:
+    return bench.grid.nx, bench.grid.ny
+
+
 def test_record_roundtrip(tmp_path, bench, fem_record):
-    m_hat = bench.field_of(np.array(fem_record.final_r))
-    path = harness.save_record(tmp_path, fem_record, m_hat=m_hat, m_ref=bench.m_ref)
+    m_hat = bench.field_of(np.array(fem_record.final_r)).reshape(grid_shape(bench))
+    path = harness.save_record(tmp_path, fem_record, {"m_hat": m_hat})
     back = harness.load_record(tmp_path)  # directory form
     assert back["mode"] == "fem-uki"
     assert back["counts"] == fem_record.counts
@@ -305,7 +313,7 @@ def test_record_roundtrip(tmp_path, bench, fem_record):
     assert lines[0] == "cycle,e_d,e_m,e_i"
     assert len(lines) == 1 + len(fem_record.series)
     assert lines[1].split(",")[2] == ""  # fem rows carry no surrogate error
-    assert (tmp_path / "fields" / "m_hat.bin").exists()
+    assert np.array_equal(load_field(tmp_path / "fields" / "m_hat.npy"), m_hat)
     assert harness.load_record(path)["mode"] == "fem-uki"
 
 
@@ -354,15 +362,21 @@ def run_records(tmp_path_factory, trained_dir):
     return paths
 
 
-def test_cmd_invert_artifacts(run_records):
+def test_cmd_invert_artifacts(run_records, bench):
     from pathlib import Path
     run = Path(run_records["deeponet-adaptive"]).parent
     for name in ("record.json", "series.csv", "config.json", "observations.json"):
         assert (run / name).exists(), name
-    assert (run / "fields" / "m_hat.bin").exists()
     assert (run / "checkpoint_final.json").exists()
     rec = harness.load_record(run)
     assert rec["mode"] == "deeponet-adaptive"
+    # the fields are the (nx, ny) estimate at final_r and the truth; the run
+    # differs from the bench fixture's config only in its mode
+    m_hat = sample_field(bench.basis, rec["final_r"]).reshape(grid_shape(bench))
+    assert np.array_equal(load_field(run / "fields" / "m_hat.npy"), m_hat)
+    m_ref = load_field(run / "fields" / "m_ref.npy")
+    assert m_ref.shape == grid_shape(bench)
+    assert np.array_equal(m_ref.ravel(), bench.truth)
     assert rec["counts"].get("adaptive-sample", 0) >= 0
 
 
@@ -424,8 +438,12 @@ def test_cmd_verify_linear(tmp_path):
 def test_cmd_solve_forward_heat_loc(tmp_path):
     cfg = tiny_cfg(problem="heat-loc", truth="fixed", out_dir=str(tmp_path))
     harness.cmd_solve_forward(cfg)
-    assert (tmp_path / "fields" / "state_0.bin").exists()
-    assert (tmp_path / "fields" / "state_1.bin").exists()
+    b = Bench(cfg)
+    for i in (0, 1):  # one (nx, ny) state per snapshot time
+        state = load_field(tmp_path / "fields" / f"state_{i}.npy")
+        assert state.shape == grid_shape(b)
+        assert np.array_equal(state.ravel(), b.truth_state[i])
+    assert not (tmp_path / "fields" / "m_ref.npy").exists()  # a point truth
     assert (tmp_path / "observations.json").exists()
 
 
@@ -434,7 +452,10 @@ def test_cmd_sample_prior(tmp_path):
     harness.cmd_sample_prior(cfg, n=3)
     params = np.loadtxt(tmp_path / "params.csv", delimiter=",")
     assert params.shape == (3, 4)
-    assert (tmp_path / "fields" / "sample_2.bin").exists()
+    basis = build_kl_basis(Grid2D(cfg.grid, cfg.grid), cfg.n_modes)
+    for i, z in enumerate(params):
+        sample = load_field(tmp_path / "fields" / f"sample_{i}.npy")
+        assert np.array_equal(sample, sample_field(basis, z).reshape(cfg.grid, cfg.grid))
 
 
 def test_cmd_sample_prior_heat_loc_in_box(tmp_path):
@@ -467,11 +488,11 @@ def test_fifth_problem_needs_only_a_spec(tmp_path, monkeypatch):
     assert rec["counts"]["fem-uki"] == (2 * cfg.n_dim + 1) * 4
     assert rec["counts"]["diagnostic"] == 1
     assert rec["stopped"] == "budget"
-    assert (tmp_path / "inv" / "fields" / "m_hat.bin").is_file()
+    assert (tmp_path / "inv" / "fields" / "m_hat.npy").is_file()
 
     path = harness.cmd_sample_prior(replace(cfg, out_dir=str(tmp_path / "prior")), n=2)
     assert np.loadtxt(path, delimiter=",").shape == (2, 3)
-    assert len(list((tmp_path / "prior" / "fields").glob("sample_*.bin"))) == 2
+    assert len(list((tmp_path / "prior" / "fields").glob("sample_*.npy"))) == 2
 
 
 def test_random_linear_model_reproducible():

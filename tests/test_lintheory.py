@@ -152,19 +152,21 @@ def test_damping_gives_underdetermined_model_a_fixed_point():
     assert np.allclose(C2, fp.C, atol=1e-12)
 
 
-BAD_FIELDS = {  # field: (bad value, expected message)
-    "alpha": (0.0, "alpha"),
-    "G": (np.zeros((2, 2, 1)), "G has shape"),
-    "y": (np.zeros(3), r"y has shape \(3,\), expected \(2,\)"),
-    "r0": (np.zeros(3), r"r0 has shape \(3,\), expected \(2,\)"),
-    "sigma_omega": (np.eye(3), "sigma_omega has shape"),
-    "sigma_eta": (np.eye(2)[:, :1], "sigma_eta has shape"),
+BAD_FIELDS = {  # case: (field, bad value, expected message)
+    "alpha": ("alpha", 0.0, "alpha"),
+    "G": ("G", np.zeros((2, 2, 1)), "G has shape"),
+    "G-no-rows": ("G", np.zeros((0, 2)), r"G has shape \(0, 2\)"),
+    "G-no-columns": ("G", np.zeros((2, 0)), r"G has shape \(2, 0\)"),
+    "y": ("y", np.zeros(3), r"y has shape \(3,\), expected \(2,\)"),
+    "r0": ("r0", np.zeros(3), r"r0 has shape \(3,\), expected \(2,\)"),
+    "sigma_omega": ("sigma_omega", np.eye(3), "sigma_omega has shape"),
+    "sigma_eta": ("sigma_eta", np.eye(2)[:, :1], "sigma_eta has shape"),
 }
 
 
-@pytest.mark.parametrize("field", BAD_FIELDS)
-def test_model_validation(field):
-    value, message = BAD_FIELDS[field]
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_model_validation(case):
+    field, value, message = BAD_FIELDS[case]
     good = dict(G=np.eye(2), y=np.zeros(2), alpha=1.0, r0=np.zeros(2),
                 sigma_omega=np.eye(2), sigma_eta=np.eye(2))
     with pytest.raises(ValueError, match=message):
