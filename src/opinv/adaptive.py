@@ -63,7 +63,6 @@ class AnchorRecord:
 class CycleRecord:
     index: int
     anchor: AnchorRecord
-    e_d: float
     e_m: float | None
     e_i: float | None
     refined: bool
@@ -214,8 +213,7 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
                 np.linalg.LinAlgError)
     for t in range(policy.i_max):
         try:
-            cfg = UKIConfig(alpha=alpha, r0=state.r, sigma_omega=sigma_omega,
-                            sigma_eta=data.noise_cov)
+            cfg = UKIConfig(alpha=alpha, r0=state.r, sigma_omega=sigma_omega)
             traj = run_uki(state, task.surrogate_forward, data, cfg, policy.t_steps)
             anchor = select_anchor(traj, scan, data)
         except failures as exc:
@@ -242,7 +240,7 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
                 applied = False
                 refine_failure = f"error at cycle {t}: {exc}"
 
-        record.cycles.append(CycleRecord(t, anchor, anchor.e, e_m, e_i, applied))
+        record.cycles.append(CycleRecord(t, anchor, e_m, e_i, applied))
         state = GaussianState(anchor.r, anchor.C)
         e_prev = anchor.e
         if refine_failure is not None:
@@ -253,7 +251,7 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
             break
 
     if record.cycles:
-        best = min(record.cycles, key=lambda c: c.e_d)
+        best = min(record.cycles, key=lambda c: c.anchor.e)
         record.final_r = best.anchor.r.copy()
         record.final_C = best.anchor.C.copy()
         record.final_cycle = best.index

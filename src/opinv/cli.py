@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -33,8 +34,11 @@ def _int_tuple(s: str) -> tuple:
     return tuple(int(v) for v in s.split(","))
 
 
-def _float_tuple(s: str) -> tuple:
-    return tuple(float(v) for v in s.split(","))
+def _eps_list(s: str) -> tuple:
+    v = tuple(float(e) for e in s.split(","))
+    if len(set(v)) < 2 or not all(0.0 < e < math.inf for e in v):
+        raise argparse.ArgumentTypeError("need two or more distinct positive values")
+    return v
 
 
 def _positive_int(s: str) -> int:
@@ -53,20 +57,18 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--hidden", type=_int_tuple, metavar="W1,W2,...",
                    help="hidden layer widths")
-    p.add_argument("--chi-box", dest="chi_box", type=_float_tuple, metavar="LO,HI",
-                   help="offline sampling box for the source center")
     for name in _INT_FLAGS:
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=int)
     for name in _FLOAT_FLAGS:
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=float)
 
 
-_ALL_FIELDS = (("problem", "scale", "mode", "truth", "out_dir", "hidden", "chi_box")
+_ALL_FIELDS = (("problem", "scale", "mode", "truth", "out_dir", "hidden")
                + _INT_FLAGS + _FLOAT_FLAGS)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """preset < config file < explicit flags."""
+    """preset < config file < explicit flags; ValueError on a bad key or value."""
     file_dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -80,7 +82,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    return RunConfig.from_dict(merged)
+    cfg = RunConfig.from_dict(merged)
+    cfg.validate()
+    return cfg
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -108,7 +112,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-obs", dest="n_obs", type=_positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--eps", type=_float_tuple, default=(1e-1, 1e-2, 1e-3, 1e-4),
+    p.add_argument("--eps", type=_eps_list, default=(1e-1, 1e-2, 1e-3, 1e-4),
                    metavar="E1,E2,...")
     p.add_argument("--out", metavar="DIR", help="also write linear_check.json")
 
@@ -117,13 +121,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-prior", help="draw parameter samples from the prior")
     _add_config_flags(p)
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_positive_int, default=4)
 
     return top
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "report":
         print(cmd_report(args.records, out_dir=args.out), end="")
@@ -136,7 +141,10 @@ def main(argv=None) -> int:
         print(json.dumps(rep, indent=1, sort_keys=True, default=float))
         return 0 if rep["passed"] else 2
 
-    cfg = build_config(args)
+    try:
+        cfg = build_config(args)
+    except ValueError as err:  # a usage error: exit 2, no traceback
+        parser.error(str(err))
     if args.command == "train-offline":
         print(cmd_train_offline(cfg))
     elif args.command == "invert":

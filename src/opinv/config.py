@@ -1,6 +1,5 @@
 """Run configuration: the problem registry, presets, delta-dependent
-defaults, JSON round-trip, and the master-seed split into named random
-streams."""
+defaults, JSON round-trip, and the master seed's named random streams."""
 
 from __future__ import annotations
 
@@ -22,11 +21,12 @@ from .grf import Grid2D
 @dataclass(frozen=True)
 class PointParam:
     """A parameter used as is rather than realized on a KL basis, with a
-    fixed truth, a fixed start mean and a prior uniform on the
-    ``RunConfig.chi_box`` square."""
+    fixed truth, a fixed start mean and a prior uniform on the square
+    ``box`` = (lo, hi) in every coordinate."""
 
     truth: tuple
     start: tuple
+    box: tuple
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ _LOC = dict(truth="fixed", n_modes=2, sensor_axis=3, start_cov=0.02)
 SPECS = {
     "darcy": ProblemSpec(DarcyProblem, desk=_FIELD_DESK, paper=_FIELD_PAPER),
     "heat-loc": ProblemSpec(
-        HeatSourceLocProblem, PointParam(truth=(0.2, 0.2), start=(0.6, 0.6)),
+        HeatSourceLocProblem,
+        PointParam(truth=(0.2, 0.2), start=(0.6, 0.6), box=(0.5, 1.0)),
         # the source walks far outside the offline box; a tight stall
         # threshold (epsilon) keeps refinement alive through flat misfit stretches
         desk=dict(_LOC, n_prior=150, offline_iters=2500, p_basis=24, hidden=(48, 48),
@@ -80,9 +81,9 @@ PROBLEMS = tuple(SPECS)
 MODES = ("fem-uki", "deeponet-direct", "deeponet-adaptive")
 TRUTHS = ("idd", "ood", "fixed")
 SCALES = ("desk", "paper")
-# fixed spawn order; every run derives all randomness from these streams
-# "train" is reserved: nothing draws from it, but it fixes the seed of "truth"
-STREAMS = ("prior", "noise", "init", "pool", "train", "truth")
+# every run derives all randomness from these streams; a stream's number is
+# its fixed spawn key, so adding or deleting a stream re-seeds no other
+STREAMS = {"prior": 0, "noise": 1, "init": 2, "pool": 3, "truth": 5}
 
 
 @dataclass
@@ -114,13 +115,11 @@ class RunConfig:
     hidden: tuple = (64, 64, 64)
     encoder_axis: int = 8
     query_axis: int = 12
-    chi_box: tuple = (0.5, 1.0)  # offline sampling box for the source-location case
     # observation
     sensor_axis: int = 6
 
     def __post_init__(self):
         self.hidden = tuple(int(w) for w in self.hidden)
-        self.chi_box = tuple(float(v) for v in self.chi_box)
 
     # -- derived defaults ---------------------------------------------------
 
@@ -145,6 +144,8 @@ class RunConfig:
             raise ValueError(f"unknown truth recipe {self.truth!r}")
         if self.grid < 3:
             raise ValueError("grid must be at least 3")
+        if self.n_modes < 1 or self.n_prior < 1:
+            raise ValueError("n_modes and n_prior must be at least 1")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if self.delta < 0:
@@ -161,24 +162,24 @@ class RunConfig:
 
     # -- randomness ------------------------------------------------------------
 
-    def seed_streams(self) -> dict:
-        children = np.random.SeedSequence(self.seed).spawn(len(STREAMS))
-        return dict(zip(STREAMS, children))
-
     def rng(self, stream: str) -> np.random.Generator:
-        return np.random.default_rng(self.seed_streams()[stream])
+        return np.random.default_rng(
+            np.random.SeedSequence(self.seed, spawn_key=(STREAMS[stream],)))
 
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["hidden"] = list(self.hidden)
-        d["chi_box"] = list(self.chi_box)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         d = {k: v for k, v in d.items() if k != "workers"}  # retired; never changed a result
+        # retired: files hold heat-loc's PointParam.box; another box must not load
+        box = d.pop("chi_box", None)
+        if box is not None and tuple(box) != SPECS["heat-loc"].point.box:
+            raise ValueError(f"chi_box {list(box)} is retired; the prior box is fixed")
         known = {f.name for f in dataclasses.fields(cls)}
         bad = set(d) - known
         if bad:

@@ -94,9 +94,6 @@ class KLBasis:
     """
 
     grid: Grid2D
-    tau: float
-    d: float
-    sigma: float
     wavenumbers: np.ndarray
     eigenvalues: np.ndarray
     modes: np.ndarray
@@ -164,9 +161,6 @@ def build_kl_basis(
 
     return KLBasis(
         grid=grid,
-        tau=tau,
-        d=d,
-        sigma=sigma,
         wavenumbers=np.array(kept, dtype=int),
         eigenvalues=lam,
         modes=modes,

@@ -54,24 +54,23 @@ from .uki import GaussianState, UKIConfig, run_uki
 # benchmark assembly
 
 
-def make_truth(cfg: RunConfig, grid: Grid2D):
-    """Reference parameter for data synthesis, and its field's node values
-    (None for a point parameter, whose truth is the spec's fixed one).
+def make_truth(cfg: RunConfig, grid: Grid2D) -> np.ndarray:
+    """The truth as the solver takes it: the spec's fixed point parameter,
+    or the node values of the truth field.
 
     Field recipes draw twice as many modes as are inverted, so the target is
     never exactly representable; the fixed recipe uses a closed-form field."""
     point = cfg.spec.point
     if point is not None:
-        return np.array(point.truth), None
+        return np.array(point.truth)
     if cfg.truth == "fixed":
         X, Y = grid.mesh()
-        values = np.sin(np.pi * X) * np.cos(np.pi * Y)
-        return None, values.ravel()
+        return (np.sin(np.pi * X) * np.cos(np.pi * Y)).ravel()
     rng = cfg.rng("truth")
     n_t = 2 * cfg.n_modes
     basis_t = build_kl_basis(grid, n_t)
     zeta_t = rng.standard_normal(n_t) if cfg.truth == "idd" else draw_uniform(n_t, rng)
-    return zeta_t, sample_field(basis_t, zeta_t)
+    return sample_field(basis_t, zeta_t)
 
 
 class Bench:
@@ -94,9 +93,7 @@ class Bench:
         self.sensor_queries = self._time_tagged(self.sensors)
         self.query_pts = self._time_tagged(self.query_sensors)
 
-        self.truth_param, self.m_ref = make_truth(cfg, self.grid)
-        # what the solver takes: the truth field's values, or the point parameter
-        self.truth = self.truth_param if self.m_ref is None else self.m_ref
+        self.truth = make_truth(cfg, self.grid)
         (self.truth_state,) = _solved(self.problem.solve_batch(self.truth[None]))
         y_ref = self.readings(self.truth_state[None])[0]
         self.data = synthesize_data(y_ref, cfg.delta, rng=cfg.rng("noise"))
@@ -128,14 +125,12 @@ class Bench:
             return Z
         return Z @ self.enc_matrix
 
-    def field_of(self, z) -> np.ndarray | None:
-        if self.basis is None:
-            return None
-        return sample_field(self.basis, z)
+    def realize(self, z):
+        """The solver's input for z: its field's node values, or z for a point."""
+        return z if self.basis is None else sample_field(self.basis, z)
 
     def inversion_error(self, z) -> float:
-        estimate = np.asarray(z) if self.basis is None else self.field_of(z)
-        return relative_inversion_error(estimate, self.truth)
+        return relative_inversion_error(self.realize(z), self.truth)
 
     def initial_state(self) -> GaussianState:
         n, point = self.cfg.n_dim, self.cfg.spec.point
@@ -169,11 +164,11 @@ def _solved(states: np.ndarray) -> np.ndarray:
 
 
 def prior_params(cfg: RunConfig, n: int) -> np.ndarray:
-    """n draws from the "prior" stream: a point parameter uniform on the
-    chi_box square, standard-normal KL coefficients otherwise."""
+    """n draws from the "prior" stream: a point parameter uniform on its
+    spec's box, standard-normal KL coefficients otherwise."""
     rng = cfg.rng("prior")
     if cfg.spec.point is not None:
-        return rng.uniform(*cfg.chi_box, size=(n, cfg.n_dim))
+        return rng.uniform(*cfg.spec.point.box, size=(n, cfg.n_dim))
     return rng.standard_normal((n, cfg.n_modes))
 
 
@@ -236,7 +231,6 @@ class InversionTask:
 class RunRecord:
     mode: str
     config: dict
-    seeds: dict
     series: list
     counts: dict
     timings: dict
@@ -292,8 +286,8 @@ def load_record(path) -> dict:
 
 
 def _base_record(cfg: RunConfig, mode: str) -> RunRecord:
-    return RunRecord(mode=mode, config=cfg.to_dict(), seeds={"master": cfg.seed},
-                     series=[], counts={}, timings={}, final_r=[], final_c_diag=[])
+    return RunRecord(mode=mode, config=cfg.to_dict(), series=[], counts={}, timings={},
+                     final_r=[], final_c_diag=[])
 
 
 def _finish(record: RunRecord, state, ledger: EvalLedger, wall: float) -> None:
@@ -313,8 +307,7 @@ def run_plain_mode(cfg: RunConfig, bench: Bench, ledger: EvalLedger, mode: str,
     record = _base_record(cfg, mode)
     state0 = bench.initial_state()
     ukicfg = UKIConfig(alpha=cfg.alpha, r0=state0.r,
-                       sigma_omega=(2.0 - cfg.alpha**2) * state0.C,
-                       sigma_eta=bench.data.noise_cov)
+                       sigma_omega=(2.0 - cfg.alpha**2) * state0.C)
     centers = []
     t0 = time.perf_counter()
     traj = run_uki(state0, forward_batch, bench.data, ukicfg, cfg.t_steps,
@@ -354,11 +347,11 @@ def run_adaptive_mode(cfg: RunConfig, bench: Bench, surrogate: Surrogate,
                           rng=cfg.rng("pool"), n_probe=cfg.n_probe)
     wall = time.perf_counter() - t0
     for c in result.cycles:
-        record.series.append(_series_row(c.index, e_d=c.e_d, e_m=c.e_m, e_i=c.e_i))
+        record.series.append(_series_row(c.index, e_d=c.anchor.e, e_m=c.e_m, e_i=c.e_i))
     record.stopped = result.stopped
     record.extras = {"e0": result.e0, "cycles_used": result.n_cycles,
                      "final_cycle": result.final_cycle,
-                     "final_e_d": (result.cycles[result.final_cycle].e_d
+                     "final_e_d": (result.cycles[result.final_cycle].anchor.e
                                    if result.cycles else result.e0),
                      "n_dim": cfg.n_dim}
     final = GaussianState(result.final_r, result.final_C)
@@ -449,13 +442,13 @@ def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    m_hat = bench.field_of(np.array(record.final_r))
     fields = None
-    if m_hat is None:  # a point estimate goes into the record itself
+    if cfg.spec.point is not None:  # a point estimate goes into the record itself
         record.extras["chi_hat"] = record.final_r
     else:
         shape = (bench.grid.nx, bench.grid.ny)
-        fields = {"m_hat": m_hat.reshape(shape), "m_ref": bench.m_ref.reshape(shape)}
+        fields = {"m_hat": bench.realize(record.final_r).reshape(shape),
+                  "m_ref": bench.truth.reshape(shape)}
     path = save_record(out, record, fields)
     cfg.save(out / "config.json")
     save_observation(out / "observations.json", bench.data, bench.sensors)
@@ -581,8 +574,8 @@ def cmd_solve_forward(cfg: RunConfig, out_dir=None) -> str:
     out.mkdir(parents=True, exist_ok=True)
     shape = (bench.grid.nx, bench.grid.ny)
     fields = {f"state_{i}": u for i, u in enumerate(bench.truth_state.reshape(-1, *shape))}
-    if bench.m_ref is not None:
-        fields["m_ref"] = bench.m_ref.reshape(shape)
+    if cfg.spec.point is None:
+        fields["m_ref"] = bench.truth.reshape(shape)
     save_fields(out, fields)
     save_observation(out / "observations.json", bench.data, bench.sensors)
     cfg.save(out / "config.json")

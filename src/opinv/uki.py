@@ -2,7 +2,7 @@
 
 Maintains a Gaussian approximation (r, C) of the unknown parameter and
 iterates a prediction / sigma-point / Kalman-update cycle against observed
-data y with noise covariance Sigma_eta:
+data y with noise covariance Sigma_eta, the data's ``noise_cov``:
 
 1. prediction:  r_hat = alpha r + (1 - alpha) r0,
                 C_hat = alpha^2 C + Sigma_omega
@@ -56,17 +56,13 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class UKIConfig:
-    """Step configuration: regularization anchor and noise levels.
-
-    alpha in (0, 1] damps the prior mean toward r0; sigma_omega is the
-    artificial evolution covariance and sigma_eta the observation noise
-    covariance used in the update.
-    """
+    """Step configuration: alpha in (0, 1] damps the prior mean toward r0,
+    and sigma_omega is the artificial evolution covariance.  The observation
+    noise covariance is the data's, never a copy kept here."""
 
     alpha: float
     r0: np.ndarray
     sigma_omega: np.ndarray
-    sigma_eta: np.ndarray
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -74,8 +70,6 @@ class UKIConfig:
         object.__setattr__(self, "r0", np.atleast_1d(np.asarray(self.r0, dtype=float)))
         object.__setattr__(self, "sigma_omega",
                            np.atleast_2d(np.asarray(self.sigma_omega, dtype=float)))
-        object.__setattr__(self, "sigma_eta",
-                           np.atleast_2d(np.asarray(self.sigma_eta, dtype=float)))
 
 
 def unscented_weights(n_dim: int) -> tuple[float, float]:
@@ -89,21 +83,13 @@ def unscented_weights(n_dim: int) -> tuple[float, float]:
     return float(c), float(w)
 
 
-@dataclass
-class SigmaEnsemble:
-    """2 n + 1 sigma points (row 0 is the center) with their shared weight."""
-
-    points: np.ndarray
-    weight: float
-
-
-def sigma_points(state: GaussianState) -> SigmaEnsemble:
-    """Deterministic sigma points of the state Gaussian.
+def sigma_points(state: GaussianState) -> np.ndarray:
+    """The (2 n + 1, n) sigma points of the state Gaussian, row 0 its mean.
 
     Raises UkiError when the covariance has lost positive definiteness.
     """
     n = state.n_dim
-    c, w = unscented_weights(n)
+    c, _ = unscented_weights(n)
     try:
         L = np.linalg.cholesky(state.C)
     except np.linalg.LinAlgError as err:
@@ -112,7 +98,7 @@ def sigma_points(state: GaussianState) -> SigmaEnsemble:
     pts[0] = state.r
     pts[1:n + 1] = state.r + c * L.T  # row j of L.T is the j-th column of L
     pts[n + 1:] = state.r - c * L.T
-    return SigmaEnsemble(pts, w)
+    return pts
 
 
 def _predict(state: GaussianState, cfg: UKIConfig) -> GaussianState:
@@ -126,23 +112,25 @@ def uki_step(state: GaussianState, forward_batch, data, cfg: UKIConfig):
 
     ``forward_batch`` maps the (2 n + 1, n) sigma points to a (2 n + 1, p)
     array of observation vectors, one row per point; it is called once.
-    ``data`` provides y_obs.  The center prediction is the output row of
-    the predicted mean, the first sigma point.
+    ``data`` provides y_obs and the noise covariance added to the output
+    covariance.  The center prediction is the output row of the predicted
+    mean, the first sigma point.
     """
     pred = _predict(state, cfg)
-    ens = sigma_points(pred)
-    Y = np.asarray(forward_batch(ens.points), dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != len(ens.points):
+    pts = sigma_points(pred)
+    _, w = unscented_weights(pred.n_dim)
+    Y = np.asarray(forward_batch(pts), dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != len(pts):
         raise ValueError(f"forward_batch gave shape {Y.shape}; need one row per sigma point")
     if not np.all(np.isfinite(Y)):
         bad = int(np.flatnonzero(~np.isfinite(Y).all(axis=1))[0])
         raise UkiError(f"non-finite forward output at sigma point {bad}")
 
     y_hat = Y[0]
-    dm = ens.points[1:] - pred.r
+    dm = pts[1:] - pred.r
     dy = Y[1:] - y_hat
-    C_my = ens.weight * dm.T @ dy
-    C_yy = ens.weight * dy.T @ dy + cfg.sigma_eta
+    C_my = w * dm.T @ dy
+    C_yy = w * dy.T @ dy + data.noise_cov
     try:
         cf = scipy.linalg.cho_factor(C_yy)
     except scipy.linalg.LinAlgError as err:

@@ -75,7 +75,7 @@ def test_criterion_1_unscented_exact_on_affine_models():
         sigma_omega = _spd(rng, n)
         sigma_eta = _spd(rng, m)
 
-        cfg = UKIConfig(alpha, r0, sigma_omega, sigma_eta)
+        cfg = UKIConfig(alpha, r0, sigma_omega)
         data = ObservationData(y_obs, sigma_eta, 0.05)
         got, _ = uki_step(state, lambda Z: Z @ A.T + b, data, cfg)
 
@@ -103,7 +103,7 @@ def test_criterion_2_scalar_fixed_point():
     err_c = abs(fp.C[0, 0] - c_star)
     err_r = abs(fp.r[0] - y)
 
-    cfg = UKIConfig(1.0, np.zeros(1), np.eye(1), np.eye(1))
+    cfg = UKIConfig(1.0, np.zeros(1), np.eye(1))
     data = ObservationData(np.array([y]), np.eye(1), 0.0)
     traj = run_uki(GaussianState(np.zeros(1), np.eye(1)),
                    lambda Z: Z.copy(), data, cfg, 100)

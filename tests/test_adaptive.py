@@ -248,8 +248,7 @@ def test_single_cycle_matches_plain_inversion():
     policy = RefinePolicy(epsilon=math.inf, i_max=1, t_steps=6, q_new=2, k_pool=10)
     record = run_adaptive(task, data, state0, policy, alpha=1.0, rng=0)
 
-    cfg = UKIConfig(alpha=1.0, r0=state0.r, sigma_omega=state0.C,
-                    sigma_eta=data.noise_cov)
+    cfg = UKIConfig(alpha=1.0, r0=state0.r, sigma_omega=state0.C)
     traj = run_uki(state0, lambda Z: Z @ G.T, data, cfg, 6)
     scan = [misfit(G @ st.r, data) for st in traj]
     j = int(np.argmin(scan))
@@ -274,12 +273,12 @@ def test_exact_surrogate_stops_by_stall_and_respects_trigger():
     assert record.stopped == "stall"
     assert 1 <= record.n_cycles < 20
     # the recorded misfit sequence must reproduce the stopping rule exactly
-    es = [record.e0] + [c.e_d for c in record.cycles]
+    es = [record.e0] + [c.anchor.e for c in record.cycles]
     for prev, nxt in zip(es[:-2], es[1:-1]):
         assert should_refine(prev, nxt, policy.epsilon)
     assert not should_refine(es[-2], es[-1], policy.epsilon)
     # anchor misfit never increases on the linear fixture
-    diffs = np.diff([c.e_d for c in record.cycles])
+    diffs = np.diff([c.anchor.e for c in record.cycles])
     assert np.all(diffs <= 1e-12)
 
 
@@ -314,7 +313,7 @@ def test_final_estimate_is_min_misfit_anchor():
     task = LinearTask(G, bias=0.2, decay=0.1)
     policy = RefinePolicy(epsilon=0.001, i_max=5, t_steps=4, q_new=3, k_pool=20)
     record = run_adaptive(task, data, state0, policy, alpha=1.0, rng=3)
-    best = min(range(record.n_cycles), key=lambda i: record.cycles[i].e_d)
+    best = min(range(record.n_cycles), key=lambda i: record.cycles[i].anchor.e)
     assert record.final_cycle == best
     np.testing.assert_array_equal(record.final_r, record.cycles[best].anchor.r)
 

@@ -62,9 +62,19 @@ def test_file_problem_selects_preset(tmp_path):
 
 
 def test_hidden_and_chi_box_parsing():
-    cfg = build_config(parse("invert", "--hidden", "8,9,10", "--chi-box", "0.2,0.9"))
+    cfg = build_config(parse("invert", "--hidden", "8,9,10"))
     assert cfg.hidden == (8, 9, 10)
-    assert cfg.chi_box == (0.2, 0.9)
+    with pytest.raises(SystemExit):  # the prior box is spec data, not a flag
+        parse("invert", "--chi-box", "0.2,0.9")
+
+
+def test_config_file_with_the_retired_chi_box_loads(tmp_path):
+    # a config.json written while chi_box was a field holds heat-loc's box
+    path = tmp_path / "config.json"
+    d = RunConfig(problem="heat-loc", seed=3).to_dict()
+    path.write_text(json.dumps(dict(d, chi_box=[0.5, 1.0])))
+    cfg = build_config(parse("invert", "--config", str(path)))
+    assert cfg == RunConfig(problem="heat-loc", seed=3)
 
 
 def test_unknown_problem_rejected(capsys):
@@ -161,6 +171,24 @@ def test_sample_prior_cli(tmp_path, capsys):
     for i, z in enumerate(params):
         sample = np.load(out / "fields" / f"sample_{i}.npy", allow_pickle=False)
         assert np.array_equal(sample, sample_field(basis, z).reshape(8, 8))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-prior", "--n", "-1"],
+    ["verify-linear", "--eps", "0,0.1"],
+    ["verify-linear", "--eps", "0.1"],
+    ["invert", "--alpha", "2"],
+    ["invert", "--grid", "2"],
+    ["train-offline", "--n-prior", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # nothing should run, but nothing may land in the repo
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
 
 
 def test_invert_without_checkpoint_fails(tmp_path):

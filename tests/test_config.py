@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -50,6 +51,8 @@ def test_resolved_does_not_mutate_original():
     dict(alpha=0.0),
     dict(alpha=1.5),
     dict(delta=-0.1),
+    dict(n_modes=0),
+    dict(n_prior=0),
 ])
 def test_validate_rejects(bad):
     with pytest.raises(ValueError):
@@ -62,8 +65,7 @@ def test_n_dim_property():
 
 
 def test_roundtrip_dict():
-    cfg = RunConfig(problem="reaction-diffusion", hidden=(8, 9), chi_box=(0.1, 0.4),
-                    seed=99).resolved()
+    cfg = RunConfig(problem="reaction-diffusion", hidden=(8, 9), seed=99).resolved()
     clone = RunConfig.from_dict(cfg.to_dict())
     assert clone == cfg
     assert isinstance(clone.hidden, tuple)
@@ -75,6 +77,22 @@ def test_from_dict_loads_a_config_with_the_retired_workers_field():
     d["workers"] = None
     assert RunConfig.from_dict(d) == RunConfig(seed=5)
     assert "workers" not in RunConfig.from_dict(d).to_dict()
+
+
+def test_load_reads_a_config_with_the_retired_chi_box_field(tmp_path):
+    # every config.json written before the box became PointParam.box holds it
+    d = RunConfig(problem="heat-loc", seed=5).to_dict()
+    d["chi_box"] = [0.5, 1.0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    assert RunConfig.load(path) == RunConfig(problem="heat-loc", seed=5)
+
+
+def test_from_dict_rejects_a_retired_chi_box_that_changed_the_prior():
+    d = RunConfig(problem="heat-loc").to_dict()
+    d["chi_box"] = [0.2, 0.9]
+    with pytest.raises(ValueError, match="chi_box"):
+        RunConfig.from_dict(d)
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -92,11 +110,17 @@ def test_save_load(tmp_path):
 
 
 def test_seed_streams_are_named_and_reproducible():
-    cfg = RunConfig(seed=5)
-    assert set(cfg.seed_streams()) == set(STREAMS)
-    a = cfg.rng("prior").standard_normal(4)
-    b = cfg.rng("prior").standard_normal(4)
-    assert np.array_equal(a, b)
+    # each stream keeps the state it had as a child of SeedSequence(seed).spawn(6),
+    # so a run written before the keys were fixed draws the same numbers
+    positions = {"prior": 0, "noise": 1, "init": 2, "pool": 3, "truth": 5}
+    assert set(STREAMS) == set(positions)
+    for seed in (0, 5, 2**40 + 3):
+        children = np.random.SeedSequence(seed).spawn(6)
+        cfg = RunConfig(seed=seed)
+        for name, i in positions.items():
+            want = np.random.default_rng(children[i]).standard_normal(4)
+            assert np.array_equal(cfg.rng(name).standard_normal(4), want)
+            assert np.array_equal(cfg.rng(name).standard_normal(4), want)
 
 
 def test_seed_streams_are_distinct():

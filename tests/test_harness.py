@@ -18,7 +18,7 @@ from opinv.forward import (
     ReactionDiffusionProblem,
     SolverError,
 )
-from opinv.grf import Grid2D, build_kl_basis, sample_field
+from opinv.grf import Grid2D, build_kl_basis, draw_uniform, sample_field
 from opinv.harness import Bench, make_truth
 from opinv.lintheory import LinearModel, solve_fixed_point
 from opinv.observe import observe
@@ -71,34 +71,32 @@ def test_registry_spec_builds_its_class_and_sets_n_dim(name):
 def test_truth_idd_uses_double_mode_count():
     cfg = tiny_cfg(truth="idd")
     grid = Grid2D(cfg.grid, cfg.grid)
-    zeta, m_ref = make_truth(cfg, grid)
-    assert zeta.shape == (2 * cfg.n_modes,)
-    zeta2, m2 = make_truth(cfg, grid)
-    assert np.array_equal(zeta, zeta2)
-    assert np.array_equal(m_ref, m2)
+    m_ref = make_truth(cfg, grid)
+    zeta = cfg.rng("truth").standard_normal(2 * cfg.n_modes)
+    assert np.array_equal(m_ref, sample_field(build_kl_basis(grid, 2 * cfg.n_modes), zeta))
+    assert np.array_equal(m_ref, make_truth(cfg, grid))
     # target genuinely outside the inverted span: high modes carry weight
     assert np.linalg.norm(zeta[cfg.n_modes:]) > 0
 
 
 def test_truth_ood_is_bounded_uniform():
-    zeta, _ = make_truth(tiny_cfg(truth="ood"), Grid2D(10, 10))
-    assert zeta.shape == (8,)
+    cfg = tiny_cfg(truth="ood")
+    grid, n_t = Grid2D(10, 10), 2 * cfg.n_modes
+    zeta = draw_uniform(n_t, cfg.rng("truth"))
     assert np.all(np.abs(zeta) <= 20.0)
+    assert np.array_equal(make_truth(cfg, grid), sample_field(build_kl_basis(grid, n_t), zeta))
 
 
 def test_truth_fixed_closed_form():
     cfg = tiny_cfg(problem="heat-field", truth="fixed")
     grid = Grid2D(cfg.grid, cfg.grid)
-    zeta, m_ref = make_truth(cfg, grid)
-    assert zeta is None
+    m_ref = make_truth(cfg, grid)
     X, Y = grid.mesh()
     assert np.allclose(m_ref.reshape(grid.nx, grid.ny), np.sin(np.pi * X) * np.cos(np.pi * Y))
 
 
 def test_truth_heat_loc_fixed_center():
-    chi, m_ref = make_truth(tiny_cfg(problem="heat-loc", truth="fixed"),
-                            Grid2D(10, 10))
-    assert m_ref is None
+    chi = make_truth(tiny_cfg(problem="heat-loc", truth="fixed"), Grid2D(10, 10))
     assert np.array_equal(chi, CHI_TRUE)
 
 
@@ -303,7 +301,7 @@ def grid_shape(bench) -> tuple:
 
 
 def test_record_roundtrip(tmp_path, bench, fem_record):
-    m_hat = bench.field_of(np.array(fem_record.final_r)).reshape(grid_shape(bench))
+    m_hat = bench.realize(fem_record.final_r).reshape(grid_shape(bench))
     path = harness.save_record(tmp_path, fem_record, {"m_hat": m_hat})
     back = harness.load_record(tmp_path)  # directory form
     assert back["mode"] == "fem-uki"
@@ -401,8 +399,8 @@ def test_cmd_report_rejects_empty():
 def _adaptive_record(out, series, final_cycle):
     cfg = tiny_cfg(mode="deeponet-adaptive")
     rec = harness.RunRecord(
-        mode="deeponet-adaptive", config=cfg.to_dict(), seeds={"master": cfg.seed},
-        series=series, counts={"anchor-scan": 9}, timings={"invert_s": 1.0},
+        mode="deeponet-adaptive", config=cfg.to_dict(), series=series,
+        counts={"anchor-scan": 9}, timings={"invert_s": 1.0},
         final_r=[0.0] * 4, final_c_diag=[1.0] * 4,
         extras={"cycles_used": len(series), "final_cycle": final_cycle,
                 "final_e_d": 10.0, "n_dim": 4})
@@ -462,7 +460,7 @@ def test_cmd_sample_prior_heat_loc_in_box(tmp_path):
     cfg = tiny_cfg(problem="heat-loc", truth="fixed", out_dir=str(tmp_path))
     harness.cmd_sample_prior(cfg, n=5)
     params = np.loadtxt(tmp_path / "params.csv", delimiter=",")
-    lo, hi = cfg.chi_box
+    lo, hi = SPECS["heat-loc"].point.box
     assert params.shape == (5, 2)
     assert np.all((params >= lo) & (params <= hi))
 

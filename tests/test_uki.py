@@ -7,7 +7,6 @@ import pytest
 from opinv.observe import ObservationData
 from opinv.uki import (
     GaussianState,
-    SigmaEnsemble,
     UkiError,
     UKIConfig,
     run_uki,
@@ -22,11 +21,12 @@ def random_spd(n, rng):
     return A @ A.T + n * np.eye(n)
 
 
-def kalman_affine_update(r, C, A, b, y, cfg):
+def kalman_affine_update(r, C, A, b, data, cfg):
     """Closed-form update for G(m) = A m + b: the oracle uki_step must hit."""
+    y = data.y_obs
     r_hat = cfg.alpha * r + (1 - cfg.alpha) * cfg.r0
     C_hat = cfg.alpha**2 * C + cfg.sigma_omega
-    C_yy = A @ C_hat @ A.T + cfg.sigma_eta
+    C_yy = A @ C_hat @ A.T + data.noise_cov
     K = np.linalg.solve(C_yy, A @ C_hat).T
     r_new = r_hat + K @ (y - A @ r_hat - b)
     C_new = C_hat - K @ A @ C_hat
@@ -61,14 +61,14 @@ def test_sigma_points_reconstruct_moments():
     rng = np.random.default_rng(0)
     n = 5
     st = GaussianState(rng.standard_normal(n), random_spd(n, rng))
-    ens = sigma_points(st)
-    assert ens.points.shape == (11, n)
-    assert np.array_equal(ens.points[0], st.r)
-    d = ens.points[1:] - st.r
-    C_rebuilt = ens.weight * d.T @ d
+    pts = sigma_points(st)
+    assert pts.shape == (11, n)
+    assert np.array_equal(pts[0], st.r)
+    d = pts[1:] - st.r
+    C_rebuilt = unscented_weights(n)[1] * d.T @ d
     assert np.allclose(C_rebuilt, st.C, atol=1e-12)
     # symmetric pairs around the center
-    assert np.allclose(ens.points[1:n + 1] + ens.points[n + 1:], 2 * st.r, atol=1e-12)
+    assert np.allclose(pts[1:n + 1] + pts[n + 1:], 2 * st.r, atol=1e-12)
 
 
 def test_sigma_points_reject_indefinite():
@@ -81,7 +81,7 @@ def test_sigma_points_reject_indefinite():
 
 
 def scalar_setup():
-    cfg = UKIConfig(alpha=1.0, r0=np.zeros(1), sigma_omega=np.eye(1), sigma_eta=np.eye(1))
+    cfg = UKIConfig(alpha=1.0, r0=np.zeros(1), sigma_omega=np.eye(1))
     data = ObservationData(np.array([1.0]), np.eye(1), 0.0)
     return GaussianState(np.zeros(1), np.eye(1)), cfg, data
 
@@ -106,12 +106,11 @@ def test_uki_step_matches_affine_oracle():
             alpha=float(rng.uniform(0.5, 1.0)),
             r0=rng.standard_normal(n),
             sigma_omega=random_spd(n, rng),
-            sigma_eta=random_spd(p, rng),
         )
+        data = ObservationData(y, random_spd(p, rng), 0.0)
         st = GaussianState(rng.standard_normal(n), random_spd(n, rng))
-        data = ObservationData(y, cfg.sigma_eta, 0.0)
         got, _ = uki_step(st, lambda P: P @ A.T + b, data, cfg)
-        want_r, want_C = kalman_affine_update(st.r, st.C, A, b, y, cfg)
+        want_r, want_C = kalman_affine_update(st.r, st.C, A, b, data, cfg)
         assert np.allclose(got.r, want_r, atol=1e-10)
         assert np.allclose(got.C, want_C, atol=1e-10)
 
@@ -121,7 +120,7 @@ def test_uki_step_zero_innovation_keeps_mean():
     n = 3
     A = rng.standard_normal((4, n))
     st = GaussianState(rng.standard_normal(n), random_spd(n, rng))
-    cfg = UKIConfig(alpha=1.0, r0=np.zeros(n), sigma_omega=np.eye(n), sigma_eta=np.eye(4))
+    cfg = UKIConfig(alpha=1.0, r0=np.zeros(n), sigma_omega=np.eye(n))
     data = ObservationData(A @ st.r, np.eye(4), 0.0)  # y = G(r_hat) since alpha = 1
     new, _ = uki_step(st, lambda P: P @ A.T, data, cfg)
     assert np.allclose(new.r, st.r, atol=1e-12)
@@ -150,9 +149,9 @@ def test_uki_step_rejects_misshaped_forward():
 
 def test_uki_config_validation():
     with pytest.raises(ValueError):
-        UKIConfig(alpha=0.0, r0=np.zeros(1), sigma_omega=np.eye(1), sigma_eta=np.eye(1))
+        UKIConfig(alpha=0.0, r0=np.zeros(1), sigma_omega=np.eye(1))
     with pytest.raises(ValueError):
-        UKIConfig(alpha=1.5, r0=np.zeros(1), sigma_omega=np.eye(1), sigma_eta=np.eye(1))
+        UKIConfig(alpha=1.5, r0=np.zeros(1), sigma_omega=np.eye(1))
 
 
 def test_covariance_stays_symmetric():
@@ -160,7 +159,7 @@ def test_covariance_stays_symmetric():
     n = 6
     A = rng.standard_normal((8, n))
     st = GaussianState(rng.standard_normal(n), random_spd(n, rng))
-    cfg = UKIConfig(alpha=0.7, r0=np.zeros(n), sigma_omega=np.eye(n), sigma_eta=np.eye(8))
+    cfg = UKIConfig(alpha=0.7, r0=np.zeros(n), sigma_omega=np.eye(n))
     data = ObservationData(rng.standard_normal(8), np.eye(8), 0.0)
     for _ in range(5):
         st, _ = uki_step(st, lambda P: P @ A.T, data, cfg)
@@ -214,7 +213,7 @@ def test_run_uki_total_eval_count():
     n = 4
     A = rng.standard_normal((5, n))
     st = GaussianState(np.zeros(n), np.eye(n))
-    cfg = UKIConfig(alpha=1.0, r0=np.zeros(n), sigma_omega=np.eye(n), sigma_eta=np.eye(5))
+    cfg = UKIConfig(alpha=1.0, r0=np.zeros(n), sigma_omega=np.eye(n))
     data = ObservationData(rng.standard_normal(5), np.eye(5), 0.0)
     calls = [0]
 
