@@ -48,6 +48,13 @@ def _positive_int(s: str) -> int:
     return v
 
 
+def _alpha(s: str) -> float:
+    v = float(s)
+    if not 0.0 < v <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {v}")
+    return v
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON file of run settings")
     p.add_argument("--problem", choices=PROBLEMS)
@@ -68,11 +75,17 @@ _ALL_FIELDS = (("problem", "scale", "mode", "truth", "out_dir", "hidden")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """preset < config file < explicit flags; ValueError on a bad key or value."""
+    """preset < config file < explicit flags; ValueError on a bad key or value,
+    or on a config file that cannot be read as a JSON object."""
     file_dict = {}
     if args.config:
-        with open(args.config) as fh:
-            file_dict = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_dict = json.load(fh)
+        except (OSError, ValueError) as err:  # missing, unreadable or not JSON
+            raise ValueError(f"cannot read config file {args.config}: {err}") from err
+        if not isinstance(file_dict, dict):
+            raise ValueError(f"config file {args.config} does not hold a JSON object")
         RunConfig.from_dict(file_dict)  # partial files allowed; keys checked here
     problem = args.problem or file_dict.get("problem") or "darcy"
     scale = args.scale or file_dict.get("scale") or "desk"
@@ -111,7 +124,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-dim", dest="n_dim", type=_positive_int, default=4)
     p.add_argument("--n-obs", dest="n_obs", type=_positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_alpha, default=1.0)
     p.add_argument("--eps", type=_eps_list, default=(1e-1, 1e-2, 1e-3, 1e-4),
                    metavar="E1,E2,...")
     p.add_argument("--out", metavar="DIR", help="also write linear_check.json")

@@ -7,7 +7,8 @@ Four benchmark problems share the grid conventions of :mod:`opinv.grf`:
   Cholesky.
 * Heat with unknown source location: ``u_t - lap u = f(x; chi, t)`` with zero
   Neumann walls, zero initial state, and a Gaussian bump source switched off
-  after a cutoff time; the state is kept at two snapshot times.
+  after a cutoff time; the state is kept at two snapshot times, solved in
+  closed form in the cosine basis that diagonalizes the Neumann Laplacian.
 * Heat with unknown source field: ``u_t - lap u = exp(-t) m(x)`` with zero
   Dirichlet walls, fixed oscillatory initial state; state kept at t=1,
   solved in closed form in the sine basis that diagonalizes the Laplacian.
@@ -17,13 +18,11 @@ Four benchmark problems share the grid conventions of :mod:`opinv.grf`:
 Each problem's one solver entry is ``solve_batch``.  It maps a (B, n)
 array of parameters to a float64 array of states, one row per parameter:
 (B, n_nodes), or (B, len(obs_times), n_nodes) for a problem that keeps
-snapshots.  A solve that fails leaves its row NaN.  Heat-field maps the
-whole batch with a few dense matmuls, and reaction-diffusion marches it with
-multi-column SuperLU solves.  Darcy builds the band rows of every row's
-matrix, and checks every residual, in whole-batch array ops; only the banded
-Cholesky runs one row at a time, as each field has its own matrix.  Heat-loc
-marches one row at a time: its rows share one matrix, but a multi-column
-sparse solve need not round each column as a single solve does.
+snapshots.  A solve that fails leaves its row NaN.  Heat-field and heat-loc
+map the whole batch with a few dense matmuls, and reaction-diffusion marches
+it with multi-column SuperLU solves.  Darcy builds the band rows of every
+row's matrix, and checks every residual, in whole-batch array ops; only the
+banded Cholesky runs one row at a time, as each field has its own matrix.
 
 Each problem class also declares ``affine``: whether its state is an affine
 map of its parameter field.  Heat-field's is (its initial state adds a fixed
@@ -35,7 +34,7 @@ solving every row.
 Diffusion under Neumann walls and the advection term both use node-centered
 finite-volume stencils (half cells at the walls) whose weighted column sums
 vanish, so the trapezoid-rule mass ``w.T u`` is conserved exactly by the time
-steppers up to linear-solver roundoff.
+steppers up to roundoff.
 """
 
 from __future__ import annotations
@@ -90,22 +89,14 @@ def _weights_1d(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _neumann_stiffness(grid: Grid2D):
-    """(K, D): symmetric zero-flux FV stiffness and diagonal trapezoid mass."""
-    Dx = sp.diags(_weights_1d(grid.nx, grid.hx))
-    Dy = sp.diags(_weights_1d(grid.ny, grid.hy))
-    K = (sp.kron(_stiffness_1d(grid.nx, grid.hx), Dy)
-         + sp.kron(Dx, _stiffness_1d(grid.ny, grid.hy)))
-    return K, sp.kron(Dx, Dy)
-
-
 def neumann_laplacian(grid: Grid2D) -> sp.csr_matrix:
     """Node-centered FV Laplacian with zero-flux walls, acting on all nodes.
 
     Equals the ghost-point 5-point stencil; with D = diag(trapezoid weights)
     it is -D^{-1} K for a symmetric stiffness K, so w.T lap = 0 exactly.
     """
-    K, _ = _neumann_stiffness(grid)
+    K = (sp.kron(_stiffness_1d(grid.nx, grid.hx), sp.diags(_weights_1d(grid.ny, grid.hy)))
+         + sp.kron(sp.diags(_weights_1d(grid.nx, grid.hx)), _stiffness_1d(grid.ny, grid.hy)))
     winv = 1.0 / grid.trapezoid_weights()
     return (-sp.diags(winv) @ K).tocsr()
 
@@ -248,14 +239,6 @@ def _darcy_bands(problem: DarcyProblem, P: np.ndarray):
 # heat equations (implicit Euler)
 
 
-@lru_cache(maxsize=16)
-def _neumann_heat_solver(nx: int, ny: int, dt: float):
-    """Factorized (D + dt K) for one backward-Euler step with zero-flux walls."""
-    g = Grid2D(nx, ny)
-    K, D = _neumann_stiffness(g)
-    return spla.splu((D + dt * K).tocsc()), g.trapezoid_weights()
-
-
 @dataclass(frozen=True)
 class HeatSourceLocProblem:
     """Heat equation driven by a Gaussian bump at unknown center chi.
@@ -276,41 +259,66 @@ class HeatSourceLocProblem:
     affine = False
 
     def source_values(self, chi) -> np.ndarray:
-        X, Y = self.grid.mesh()
-        r2 = (X - chi[0]) ** 2 + (Y - chi[1]) ** 2
+        g = self.grid
+        r2 = ((g.xs - chi[0]) ** 2)[:, None] + (g.ys - chi[1]) ** 2  # (nx, ny)
         amp = self.strength / (2.0 * math.pi * self.width**2)
         return (amp * np.exp(-r2 / (2.0 * self.width**2))).ravel()
 
     def solve_batch(self, P) -> np.ndarray:
         """(B, len(obs_times), n_nodes) snapshots of a (B, 2) batch of source
-        centers chi: one backward-Euler march per row from u = 0 with
-        zero-flux walls, the constant source on for t <= t_cutoff and off
-        afterwards."""
+        centers chi: the backward-Euler march from u = 0 with zero-flux walls,
+        the constant source on for t <= t_cutoff and off afterwards, in closed
+        form, ``Sx (b_t * (Tx M Ty.T)) Sy.T`` for each snapshot's mode gains
+        b_t (``_heat_loc_map``) and each row's source M; every row is the
+        same sequence of matmuls as a batch of one."""
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[1] != 2:
             raise ValueError(f"expected a (B, 2) batch of centers, got shape {P.shape}")
         g = self.grid
+        b, Sx, Tx, Sy, Ty = _heat_loc_map(self)
         dt = 1.0 / self.n_steps
-        steps = []
-        for t in self.obs_times:
-            k = t / dt
-            if abs(k - round(k)) > 1e-9:
-                raise ValueError(f"observation time {t} not on a step boundary")
-            steps.append(int(round(k)))
-        lu, w = _neumann_heat_solver(g.nx, g.ny, dt)
-        out = np.empty((len(P), len(steps), g.n_nodes))
-        for i, chi in enumerate(P):
-            src = dt * self.source_values(chi)
-            u = np.zeros(g.n_nodes)
-            snaps = {}
-            for n in range(1, max(steps) + 1):
-                if n * dt <= self.t_cutoff + 1e-12:
-                    u = u + src
-                u = lu.solve(w * u)
-                if n in steps:
-                    snaps[n] = u
-            out[i] = [snaps[k] for k in steps]
-        return out
+        M = np.array([dt * self.source_values(chi) for chi in P]).reshape(-1, g.nx, g.ny)
+        C = (Tx @ M @ Ty.T)[:, None]  # cosine coefficients of one step's source
+        return (Sx @ (b * C) @ Sy.T).reshape(len(P), len(b), g.n_nodes)
+
+
+def _cosine_modes(n: int, h: float):
+    """(S, lam): cosine matrix of an axis' n nodes, normalized so that
+    S.T D S = I for the trapezoid weights D, and the eigenvalues of its
+    zero-flux stiffness K: K S = D S diag(lam)."""
+    k = np.arange(n)
+    S = np.cos(math.pi * np.outer(k, k) / (n - 1))
+    S[:, 1:-1] *= math.sqrt(2.0)
+    return S, 4.0 / h**2 * np.sin(math.pi * k / (2 * (n - 1))) ** 2
+
+
+@lru_cache(maxsize=16)
+def _heat_loc_map(problem: HeatSourceLocProblem):
+    """(b, Sx, Tx, Sy, Ty): a step ``u <- (D + dt K)^-1 D (u + s)`` scales
+    cosine mode (i, j) by ``1 / (1 + dt (lam_x_i + lam_y_j))``, so b[t] is
+    each mode's gain on the per-step source s over the march to obs_times[t],
+    summed over the steps that have the source on; T = S^-1 = S.T D on each
+    axis.  Raises ValueError for an observation time that is not on a step
+    boundary.  Keyed on the problem, not its grid, as the gains depend on
+    t_cutoff, obs_times and n_steps."""
+    g = problem.grid
+    dt = 1.0 / problem.n_steps
+    steps = []
+    for t in problem.obs_times:
+        k = t / dt
+        if abs(k - round(k)) > 1e-9:
+            raise ValueError(f"observation time {t} not on a step boundary")
+        steps.append(int(round(k)))
+    (Sx, lx), (Sy, ly) = _cosine_modes(g.nx, g.hx), _cosine_modes(g.ny, g.hy)
+    step = 1.0 / (1.0 + dt * (lx[:, None] + ly[None, :]))
+    b = np.zeros_like(step)
+    gains = {}
+    for n in range(1, max(steps) + 1):
+        b = step * (b + (n * dt <= problem.t_cutoff + 1e-12))  # source on or off
+        if n in steps:
+            gains[n] = b
+    Tx, Ty = Sx.T * _weights_1d(g.nx, g.hx), Sy.T * _weights_1d(g.ny, g.hy)
+    return np.array([gains[k] for k in steps]), Sx, Tx, Sy, Ty
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,8 @@ def test_sample_prior_cli(tmp_path, capsys):
     ["sample-prior", "--n", "-1"],
     ["verify-linear", "--eps", "0,0.1"],
     ["verify-linear", "--eps", "0.1"],
+    ["verify-linear", "--alpha", "2"],
+    ["verify-linear", "--alpha", "0"],
     ["invert", "--alpha", "2"],
     ["invert", "--grid", "2"],
     ["train-offline", "--n-prior", "0"],
@@ -188,6 +190,23 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config file"),
+    ("{", "cannot read config file"),
+    ("[1]", "does not hold a JSON object"),
+], ids=["missing", "not-json", "not-an-object"])
+def test_unreadable_config_file_is_a_usage_error(content, message, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
     assert "Traceback" not in err
 
 

@@ -406,6 +406,60 @@ def test_heat_loc_rejects_bad_chi():
             p.solve_batch(P)
 
 
+def _heat_loc_by_splu_march(p, P):
+    """Reference: the backward-Euler march (D + dt K) u_n = D (u_{n-1} + dt s)
+    on all nodes, K = -D L the zero-flux stiffness and D the trapezoid mass,
+    the source s on while n dt <= t_cutoff, one SuperLU solve per step and row."""
+    g = p.grid
+    dt = 1.0 / p.n_steps
+    w = g.trapezoid_weights()
+    lu = spla.splu((sp.diags(w) @ (sp.eye(g.n_nodes) - dt * neumann_laplacian(g))).tocsc())
+    steps = [int(round(t / dt)) for t in p.obs_times]
+    out = np.empty((len(P), len(steps), g.n_nodes))
+    for i, chi in enumerate(P):
+        src = dt * p.source_values(chi)
+        u = np.zeros(g.n_nodes)
+        snaps = {}
+        for n in range(1, max(steps) + 1):
+            if n * dt <= p.t_cutoff + 1e-12:
+                u = u + src
+            u = lu.solve(w * u)
+            snaps[n] = u
+        out[i] = [snaps[k] for k in steps]
+    return out
+
+
+def _heat_loc_gap(p, n_rows, seed):
+    P = np.random.default_rng(seed).uniform(0.0, 1.0, (n_rows, 2))
+    U = p.solve_batch(P)
+    for row, chi in zip(U, P):  # a row's snapshots do not depend on its batch
+        assert np.array_equal(row, p.solve_batch(chi[None])[0])
+    return _max_rel_gap(U, _heat_loc_by_splu_march(p, P))
+
+
+@pytest.mark.parametrize("obs_times, t_cutoff", [
+    ((0.03, 0.05, 0.08), 0.05),  # before, at and after the cutoff
+    ((0.5,), 1.0),               # the source on throughout
+])
+@pytest.mark.parametrize("nx, ny", [(24, 24), (9, 13), (17, 11)])
+def test_heat_loc_matches_splu_march(nx, ny, obs_times, t_cutoff):
+    p = HeatSourceLocProblem(Grid2D(nx, ny), t_cutoff=t_cutoff, obs_times=obs_times)
+    assert _heat_loc_gap(p, 4, nx) <= 1e-12
+
+
+def test_heat_loc_map_is_cached_per_problem():
+    # problems on one grid that differ only in t_cutoff or obs_times give
+    # different snapshots, each matching its own march, cold and warm
+    g = Grid2D(10, 10)
+    problems = [HeatSourceLocProblem(g), HeatSourceLocProblem(g, t_cutoff=0.1),
+                HeatSourceLocProblem(g, obs_times=(0.05, 0.2))]
+    for seed, p in enumerate(problems + problems):  # second pass reads the cache
+        assert _heat_loc_gap(p, 3, seed) <= 1e-12
+    chi = [(0.3, 0.6)]
+    (base, cut, late) = (p.solve_batch(chi)[0, 1] for p in problems)
+    assert not np.allclose(base, cut) and not np.allclose(base, late)
+
+
 # -- heat, source field --------------------------------------------------------
 
 
@@ -647,7 +701,8 @@ def _max_rel_gap(a, b):
 
 @pytest.mark.parametrize("name", list(SPECS))
 def test_forward_map_matches_direct_solver(name):
-    # Darcy and heat-loc solve row by row: bit-identical to one-row batches.
+    # Darcy's Cholesky runs per row and heat-loc's closed form is the same
+    # matmuls for every row: both bit-identical to one-row batches.
     # heat-field and reaction-diffusion compose basis-row states, which may
     # round differently from a batch of one.
     spec = SPECS[name]
