@@ -7,7 +7,8 @@ a relative tolerance, a candidate pool is drawn from the anchor Gaussian, a
 greedy rule picks the samples that are close to the anchor in parameter space
 yet far from each other in surrogate-output space, the full model is solved
 at those points, and the surrogate is fine-tuned on the grown training set.
-Otherwise the loop stops.
+Otherwise the loop stops.  Every setting is read from the run's RunConfig,
+whose validate() range-checks it before any run.
 
 Full-order work is sorted into three ledger categories: "anchor-scan" misfit
 evaluations (including the initial one before the loop), "adaptive-sample"
@@ -22,30 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .deeponet import TrainingError
 from .forward import SolverError
 from .observe import misfit
 from .uki import GaussianState, UKIConfig, UkiError, run_uki
-
-
-@dataclass(frozen=True)
-class RefinePolicy:
-    """Budget and thresholds for the refinement loop."""
-
-    epsilon: float = 0.01   # relative anchor-misfit change that keeps refining
-    i_max: int = 10         # max refinement cycles
-    t_steps: int = 10       # inversion steps per cycle
-    q_new: int = 50         # samples added per refinement
-    k_pool: int = 2000      # candidate pool size
-    lam: float = 1.0        # balance between spread and closeness to anchor
-
-    def __post_init__(self):
-        if self.epsilon <= 0 or self.lam <= 0:
-            raise ValueError("epsilon and lam must be positive")
-        if min(self.i_max, self.t_steps, self.q_new, self.k_pool) < 1:
-            raise ValueError("i_max, t_steps, q_new, k_pool must be >= 1")
-        if self.q_new > self.k_pool:
-            raise ValueError("q_new cannot exceed k_pool")
 
 
 @dataclass
@@ -177,9 +159,8 @@ def speedup(n_dim: int, t_fem: int, q: int, t: int, i_max: int) -> float:
     return fem_eval_count(n_dim, t_fem) / float((q + t) * i_max)
 
 
-def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
-                 alpha: float = 1.0, rng=None, n_probe: int = 0) -> AdaptiveRecord:
-    """Drive the full refinement loop.
+def run_adaptive(task, data, state0: GaussianState, cfg: RunConfig) -> AdaptiveRecord:
+    """Drive the full refinement loop with the settings of the resolved ``cfg``.
 
     task is duck-typed and supplies the models, each mapping a (B, n)
     parameter batch to (B, p) outputs:
@@ -192,17 +173,20 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
                           "adaptive-sample"), grow the training set, fine-tune
       inversion_error(z) -> float   optional per-cycle accuracy metric
 
-    Each cycle: t_steps inversion steps with the surrogate, anchor selection
-    by full-order misfit, optional n_probe-sample model-error diagnostic at
-    the anchor Gaussian, then either refinement or stop.  The evolution
-    covariance is fixed at (2 - alpha^2) C0 and the regularization anchor of
-    each cycle is that cycle's starting mean.  A refinement that no later
-    cycle would consume (trigger fires on the last cycle) is skipped, which
-    keeps non-diagnostic work within (q_new + t_steps) * i_max calls.
+    Each cycle, up to i_max: t_steps inversion steps with the surrogate,
+    anchor selection by full-order misfit, optional n_probe-sample
+    model-error diagnostic at the anchor Gaussian, then either refinement
+    (q_new greedy picks, weight lam, from a k_pool pool) or a stop once the
+    anchor misfit moves by no more than epsilon.  Pools and probes draw from
+    cfg.rng("pool").  The evolution covariance is fixed at (2 - alpha^2) C0
+    and the regularization anchor of each cycle is that cycle's starting
+    mean.  A refinement that no later cycle would consume (trigger fires on
+    the last cycle) is skipped, which keeps non-diagnostic work within
+    (q_new + t_steps) * i_max calls.
     The final estimate is the anchor with the smallest full-order misfit.
     Stage failures stop the loop and leave a partial record."""
-    rng = np.random.default_rng(rng)
-    sigma_omega = (2.0 - alpha**2) * state0.C
+    rng = cfg.rng("pool")
+    sigma_omega = (2.0 - cfg.alpha**2) * state0.C
     scan = lambda Z: task.full_forward(Z, "anchor-scan")  # noqa: E731
     e_prev = full_misfits(scan, state0.r, data)[0]
     record = AdaptiveRecord(e0=e_prev, final_r=state0.r.copy(),
@@ -211,30 +195,30 @@ def run_adaptive(task, data, state0: GaussianState, policy: RefinePolicy,
     state = state0
     failures = (UkiError, SolverError, TrainingError, ValueError,
                 np.linalg.LinAlgError)
-    for t in range(policy.i_max):
+    for t in range(cfg.i_max):
         try:
-            cfg = UKIConfig(alpha=alpha, r0=state.r, sigma_omega=sigma_omega)
-            traj = run_uki(state, task.surrogate_forward, data, cfg, policy.t_steps)
+            ukicfg = UKIConfig(alpha=cfg.alpha, r0=state.r, sigma_omega=sigma_omega)
+            traj = run_uki(state, task.surrogate_forward, data, ukicfg, cfg.t_steps)
             anchor = select_anchor(traj, scan, data)
         except failures as exc:
             record.stopped = f"error at cycle {t}: {exc}"
             break
 
         e_m = None
-        if n_probe > 0:
-            probe = gaussian_pool(anchor.r, anchor.C, n_probe, rng)
+        if cfg.n_probe > 0:
+            probe = gaussian_pool(anchor.r, anchor.C, cfg.n_probe, rng)
             e_m = local_model_error(
                 task.surrogate_batch, lambda Z: task.full_forward(Z, "diagnostic"), probe)
         e_i = err_metric(anchor.r) if err_metric is not None else None
 
-        wants_refine = should_refine(e_prev, anchor.e, policy.epsilon)
-        applied = wants_refine and t < policy.i_max - 1
+        wants_refine = should_refine(e_prev, anchor.e, cfg.epsilon)
+        applied = wants_refine and t < cfg.i_max - 1
         refine_failure = None
         if applied:
             try:
-                pool = gaussian_pool(anchor.r, anchor.C, policy.k_pool, rng)
+                pool = gaussian_pool(anchor.r, anchor.C, cfg.k_pool, rng)
                 chosen = greedy_select(pool, task.surrogate_batch, anchor.r,
-                                       policy.q_new, policy.lam)
+                                       cfg.q_new, cfg.lam)
                 task.refine(chosen)
             except failures as exc:
                 applied = False

@@ -9,6 +9,7 @@ then individual flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -23,11 +24,6 @@ from .harness import (
     cmd_train_offline,
     cmd_verify_linear,
 )
-
-_INT_FLAGS = ("grid", "n_modes", "seed", "t_steps", "q_new", "i_max", "k_pool",
-              "n_probe", "n_prior", "offline_iters", "online_iters", "p_basis",
-              "encoder_axis", "query_axis", "sensor_axis")
-_FLOAT_FLAGS = ("delta", "alpha", "epsilon", "lam", "start_cov")
 
 
 def _int_tuple(s: str) -> tuple:
@@ -55,23 +51,18 @@ def _alpha(s: str) -> float:
     return v
 
 
+_PARSERS = {"int": int, "float": float, "str": str, "tuple": _int_tuple}
+_CHOICES = {"problem": PROBLEMS, "scale": SCALES, "mode": MODES, "truth": TRUTHS}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config, and one flag per RunConfig field (--field-name)."""
     p.add_argument("--config", metavar="FILE", help="JSON file of run settings")
-    p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--scale", choices=SCALES)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--truth", choices=TRUTHS)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--hidden", type=_int_tuple, metavar="W1,W2,...",
-                   help="hidden layer widths")
-    for name in _INT_FLAGS:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=int)
-    for name in _FLOAT_FLAGS:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=float)
-
-
-_ALL_FIELDS = (("problem", "scale", "mode", "truth", "out_dir", "hidden")
-               + _INT_FLAGS + _FLOAT_FLAGS)
+    for f in dataclasses.fields(RunConfig):
+        kind = f.type.split(" | ")[0]  # "int | None": unset leaves the rule's value
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=_PARSERS[kind],
+                       choices=_CHOICES.get(f.name),
+                       metavar="W1,W2,..." if kind == "tuple" else None)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -91,12 +82,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     scale = args.scale or file_dict.get("scale") or "desk"
     merged = preset(problem, scale).to_dict()
     merged.update(file_dict)
-    for name in _ALL_FIELDS:
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            merged[name] = value
+            merged[f.name] = value
     cfg = RunConfig.from_dict(merged)
-    cfg.validate()
+    cfg.resolved()  # validate() once the delta/mode rules have filled their fields
     return cfg
 
 

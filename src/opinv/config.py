@@ -86,6 +86,15 @@ SCALES = ("desk", "paper")
 STREAMS = {"prior": 0, "noise": 1, "init": 2, "pool": 3, "truth": 5}
 
 
+def default_t_steps(mode: str) -> int:
+    """Inversion steps per cycle of the adaptive loop, or per plain run."""
+    return 10 if mode == "deeponet-adaptive" else 20
+
+
+_AT_LEAST_1 = ("n_modes", "n_prior", "i_max", "t_steps", "q_new", "k_pool", "p_basis",
+               "query_axis", "sensor_axis")
+
+
 @dataclass
 class RunConfig:
     problem: str = "darcy"
@@ -127,8 +136,7 @@ class RunConfig:
         """Copy with the delta/mode-dependent defaults filled in."""
         alpha = self.alpha if self.alpha is not None else (
             1.0 if self.delta <= 0.01 else 0.5)
-        t_steps = self.t_steps if self.t_steps is not None else (
-            10 if self.mode == "deeponet-adaptive" else 20)
+        t_steps = self.t_steps if self.t_steps is not None else default_t_steps(self.mode)
         q_new = self.q_new if self.q_new is not None else (
             50 if self.delta <= 0.01 else 20)
         out = dataclasses.replace(self, alpha=alpha, t_steps=t_steps, q_new=q_new)
@@ -136,20 +144,33 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
-        if self.problem not in SPECS:
-            raise ValueError(f"unknown problem {self.problem!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.truth not in TRUTHS:
-            raise ValueError(f"unknown truth recipe {self.truth!r}")
+        """The one range check of every field, run before any work; a None
+        left for resolved() to fill is checked once it is filled."""
+        for name, allowed in (("problem", SPECS), ("scale", SCALES), ("mode", MODES),
+                              ("truth", TRUTHS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if self.grid < 3:
-            raise ValueError("grid must be at least 3")
-        if self.n_modes < 1 or self.n_prior < 1:
-            raise ValueError("n_modes and n_prior must be at least 1")
+            raise ValueError(f"grid must be at least 3, got {self.grid}")
+        for name in _AT_LEAST_1:
+            v = getattr(self, name)
+            if v is not None and v < 1:
+                raise ValueError(f"{name} must be at least 1, got {v}")
+        if any(w < 1 for w in self.hidden):
+            raise ValueError(f"hidden widths must be at least 1, got {list(self.hidden)}")
+        if self.q_new is not None and self.q_new > self.k_pool:
+            raise ValueError(f"q_new ({self.q_new}) cannot exceed k_pool ({self.k_pool})")
+        for name in ("epsilon", "lam", "start_cov"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("delta", "n_probe", "offline_iters", "online_iters", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if self.spec.point is None and not 1 <= self.encoder_axis <= self.grid:
+            raise ValueError(f"encoder_axis must lie in [1, grid {self.grid}], "
+                             f"got {self.encoder_axis}")
 
     @property
     def spec(self) -> ProblemSpec:

@@ -17,7 +17,7 @@ finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,8 +191,6 @@ class TrainingSet:
     inputs: np.ndarray   # (N, n_in)
     targets: np.ndarray  # (N, Q)
     queries: np.ndarray  # (Q, q_dim)
-    tags: list = field(default_factory=list)
-    zetas: np.ndarray | None = None  # provenance: raw parameter vectors
 
     def __post_init__(self):
         self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -200,14 +198,6 @@ class TrainingSet:
         self.queries = np.atleast_2d(np.asarray(self.queries, dtype=float))
         if self.targets.shape != (self.inputs.shape[0], self.queries.shape[0]):
             raise ValueError("targets must be (n_entries, n_queries)")
-        if not self.tags:
-            self.tags = ["prior"] * self.inputs.shape[0]
-        if len(self.tags) != self.inputs.shape[0]:
-            raise ValueError("one tag per entry required")
-        if self.zetas is not None:
-            self.zetas = np.atleast_2d(np.asarray(self.zetas, dtype=float))
-            if self.zetas.shape[0] != self.inputs.shape[0]:
-                raise ValueError("one zeta row per entry required")
 
     @property
     def n_entries(self) -> int:
@@ -217,16 +207,8 @@ class TrainingSet:
         """Union of two sets sharing the same query points."""
         if not np.array_equal(self.queries, other.queries):
             raise ValueError("query points differ")
-        zetas = None
-        if self.zetas is not None and other.zetas is not None:
-            zetas = np.vstack([self.zetas, other.zetas])
-        return TrainingSet(
-            np.vstack([self.inputs, other.inputs]),
-            np.vstack([self.targets, other.targets]),
-            self.queries,
-            self.tags + other.tags,
-            zetas,
-        )
+        return TrainingSet(np.vstack([self.inputs, other.inputs]),
+                           np.vstack([self.targets, other.targets]), self.queries)
 
 
 # ---------------------------------------------------------------------------

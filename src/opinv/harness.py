@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .adaptive import (
-    RefinePolicy,
     full_misfits,
     gaussian_pool,
     local_model_error,
@@ -25,7 +25,7 @@ from .adaptive import (
     run_adaptive,
     speedup,
 )
-from .config import RunConfig
+from .config import RunConfig, default_t_steps
 from .deeponet import (
     NetArch,
     Surrogate,
@@ -172,12 +172,12 @@ def prior_params(cfg: RunConfig, n: int) -> np.ndarray:
     return rng.standard_normal((n, cfg.n_modes))
 
 
-def offline_train(cfg: RunConfig, bench: Bench, ledger: EvalLedger):
+def offline_train(bench: Bench, ledger: EvalLedger):
     """Draw prior samples, solve the full model for each, train the net."""
+    cfg = bench.cfg
     params = prior_params(cfg, cfg.n_prior)
     targets = bench.full_targets(params, ledger, "offline")
-    dataset = TrainingSet(bench.encode(params), targets, bench.query_pts,
-                          ["prior"] * cfg.n_prior, zetas=params)
+    dataset = TrainingSet(bench.encode(params), targets, bench.query_pts)
 
     n_in = dataset.inputs.shape[1]
     q_dim = bench.query_pts.shape[1]
@@ -193,13 +193,12 @@ def offline_train(cfg: RunConfig, bench: Bench, ledger: EvalLedger):
 class InversionTask:
     """Adapter between one Bench + Surrogate pair and the refinement loop."""
 
-    def __init__(self, bench: Bench, surrogate: Surrogate, dataset: TrainingSet,
-                 ledger: EvalLedger, online_iters: int):
+    def __init__(self, bench: Bench, surrogate: Surrogate, dataset: TrainingSet | None,
+                 ledger: EvalLedger):
         self.bench = bench
         self.surrogate = surrogate
         self.dataset = dataset
         self.ledger = ledger
-        self.online_iters = online_iters
 
     def surrogate_batch(self, Z) -> np.ndarray:
         return self.surrogate.eval(self.bench.encode(Z), self.bench.sensor_queries)
@@ -218,9 +217,9 @@ class InversionTask:
     def refine(self, Z) -> None:
         new = TrainingSet(self.bench.encode(Z),
                           self.bench.full_targets(Z, self.ledger, "adaptive-sample"),
-                          self.bench.query_pts, ["adaptive"] * len(Z), zetas=np.asarray(Z))
+                          self.bench.query_pts)
         self.dataset = self.dataset.extend(new)
-        fine_tune(self.surrogate, self.dataset, self.online_iters)
+        fine_tune(self.surrogate, self.dataset, self.bench.cfg.online_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +297,14 @@ def _finish(record: RunRecord, state, ledger: EvalLedger, wall: float) -> None:
     record.timings["invert_s"] = wall
 
 
-def run_plain_mode(cfg: RunConfig, bench: Bench, ledger: EvalLedger, mode: str,
-                   forward_batch) -> RunRecord:
-    """Sigma-point inversion for cfg.t_steps steps against one fixed forward
-    map ``forward_batch(P) -> Y``: the full-order model for fem-uki, the
-    offline surrogate for deeponet-direct.  A surrogate run also reports its
-    local model error over cfg.n_probe draws from the final Gaussian."""
-    record = _base_record(cfg, mode)
+def run_plain_mode(bench: Bench, ledger: EvalLedger, forward_batch) -> RunRecord:
+    """Sigma-point inversion for cfg.t_steps steps of ``bench.cfg`` against
+    one fixed forward map ``forward_batch(P) -> Y``: the full-order model
+    for fem-uki, the offline surrogate for deeponet-direct.  A surrogate run
+    also reports its local model error over cfg.n_probe draws from the final
+    Gaussian."""
+    cfg = bench.cfg
+    record = _base_record(cfg, cfg.mode)
     state0 = bench.initial_state()
     ukicfg = UKIConfig(alpha=cfg.alpha, r0=state0.r,
                        sigma_omega=(2.0 - cfg.alpha**2) * state0.C)
@@ -324,7 +324,7 @@ def run_plain_mode(cfg: RunConfig, bench: Bench, ledger: EvalLedger, mode: str,
     diagnostic = lambda Z: bench.full_forward(Z, ledger, "diagnostic")  # noqa: E731
     record.extras = {"final_e_d": full_misfits(diagnostic, final.r, bench.data)[0],
                      "cycles_used": len(traj), "n_dim": cfg.n_dim}
-    if mode == "deeponet-direct":
+    if cfg.mode == "deeponet-direct":
         e_m_final = None
         if cfg.n_probe > 0:
             probe = gaussian_pool(final.r, final.C, cfg.n_probe, cfg.rng("pool"))
@@ -334,17 +334,14 @@ def run_plain_mode(cfg: RunConfig, bench: Bench, ledger: EvalLedger, mode: str,
     return record
 
 
-def run_adaptive_mode(cfg: RunConfig, bench: Bench, surrogate: Surrogate,
-                      dataset: TrainingSet, ledger: EvalLedger) -> RunRecord:
+def run_adaptive_mode(bench: Bench, surrogate: Surrogate, dataset: TrainingSet,
+                      ledger: EvalLedger) -> RunRecord:
+    cfg = bench.cfg
     record = _base_record(cfg, "deeponet-adaptive")
-    task = InversionTask(bench, surrogate, dataset, ledger, cfg.online_iters)
+    task = InversionTask(bench, surrogate, dataset, ledger)
     state0 = bench.initial_state()
-    policy = RefinePolicy(epsilon=cfg.epsilon, i_max=cfg.i_max,
-                          t_steps=cfg.t_steps, q_new=cfg.q_new,
-                          k_pool=cfg.k_pool, lam=cfg.lam)
     t0 = time.perf_counter()
-    result = run_adaptive(task, bench.data, state0, policy, alpha=cfg.alpha,
-                          rng=cfg.rng("pool"), n_probe=cfg.n_probe)
+    result = run_adaptive(task, bench.data, state0, cfg)
     wall = time.perf_counter() - t0
     for c in result.cycles:
         record.series.append(_series_row(c.index, e_d=c.anchor.e, e_m=c.e_m, e_i=c.e_i))
@@ -364,18 +361,14 @@ def run_adaptive_mode(cfg: RunConfig, bench: Bench, surrogate: Surrogate,
 
 
 def save_training_set(path, ts: TrainingSet) -> None:
-    arrays = dict(inputs=ts.inputs, targets=ts.targets, queries=ts.queries,
-                  tags=np.array(ts.tags))
-    if ts.zetas is not None:
-        arrays["zetas"] = ts.zetas
-    np.savez(path, **arrays)
+    np.savez(path, inputs=ts.inputs, targets=ts.targets, queries=ts.queries)
 
 
 def load_training_set(path) -> TrainingSet:
+    """Read a saved set; the provenance arrays "tags" and "zetas" that older
+    files hold are ignored."""
     with np.load(path, allow_pickle=False) as z:
-        return TrainingSet(z["inputs"], z["targets"], z["queries"],
-                           [str(t) for t in z["tags"]],
-                           z["zetas"] if "zetas" in z.files else None)
+        return TrainingSet(z["inputs"], z["targets"], z["queries"])
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +384,7 @@ def cmd_train_offline(cfg: RunConfig) -> str:
     bench = Bench(cfg)
     ledger = EvalLedger()
     t0 = time.perf_counter()
-    surrogate, dataset = offline_train(cfg, bench, ledger)
+    surrogate, dataset = offline_train(bench, ledger)
     wall = time.perf_counter() - t0
     stem = out / "checkpoint"
     surrogate.save(stem)
@@ -406,16 +399,26 @@ def cmd_train_offline(cfg: RunConfig) -> str:
 
 
 def _load_checkpoint(bench: Bench, stem):
+    """The checkpoint's surrogate and, for the adaptive mode, its training
+    set; ValueError before any solve if either does not fit ``bench``."""
     surrogate = Surrogate.load(stem)
     bench_in = bench.encode(np.zeros(bench.cfg.n_dim)).shape[1]
     if surrogate.arch.branch[0] != bench_in:
         raise ValueError(
             f"checkpoint expects {surrogate.arch.branch[0]} branch inputs, "
             f"config implies {bench_in}")
-    dataset = None
+    if bench.cfg.mode != "deeponet-adaptive":
+        return surrogate, None
     ds_path = Path(stem).parent / "dataset.npz"
-    if ds_path.exists():
-        dataset = load_training_set(ds_path)
+    if not ds_path.exists():
+        raise ValueError("adaptive mode needs dataset.npz next to the checkpoint")
+    dataset = load_training_set(ds_path)
+    if not np.array_equal(dataset.queries, bench.query_pts):
+        per_axis = math.isqrt(len(dataset.queries) // max(1, len(bench.obs_times)))
+        raise ValueError(
+            f"checkpoint dataset sits on a {per_axis} x {per_axis} query lattice "
+            f"({len(dataset.queries)} points), config implies "
+            f"{bench.cfg.query_axis} x {bench.cfg.query_axis} ({len(bench.query_pts)})")
     return surrogate, dataset
 
 
@@ -425,7 +428,7 @@ def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
     bench = Bench(cfg)
     ledger = EvalLedger()
     if cfg.mode == "fem-uki":
-        record = run_plain_mode(cfg, bench, ledger, cfg.mode,
+        record = run_plain_mode(bench, ledger,
                                 lambda P: bench.full_forward(P, ledger, "fem-uki"))
         surrogate = None
     else:
@@ -433,12 +436,10 @@ def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
             raise ValueError(f"mode {cfg.mode} requires a checkpoint")
         surrogate, dataset = _load_checkpoint(bench, checkpoint)
         if cfg.mode == "deeponet-direct":
-            task = InversionTask(bench, surrogate, None, ledger, 0)
-            record = run_plain_mode(cfg, bench, ledger, cfg.mode, task.surrogate_forward)
+            task = InversionTask(bench, surrogate, None, ledger)
+            record = run_plain_mode(bench, ledger, task.surrogate_forward)
         else:
-            if dataset is None:
-                raise ValueError("adaptive mode needs dataset.npz next to the checkpoint")
-            record = run_adaptive_mode(cfg, bench, surrogate, dataset, ledger)
+            record = run_adaptive_mode(bench, surrogate, dataset, ledger)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -493,7 +494,8 @@ def cmd_report(paths, out_dir=None) -> str:
             formula = "1"
         elif r["mode"] == "deeponet-adaptive":
             cycles = max(1, int(r["extras"].get("cycles_used", 1)))
-            t_fem = int(base["config"]["t_steps"]) if base is not None else 20
+            t_fem = (int(base["config"]["t_steps"]) if base is not None
+                     else default_t_steps("fem-uki"))
             ratio = speedup(int(r["extras"]["n_dim"]), t_fem, cfgd["q_new"],
                             cfgd["t_steps"], cycles)
             formula = f"{ratio:.6g}"
@@ -566,11 +568,11 @@ def cmd_verify_linear(n_dim: int = 4, n_obs: int = 6, seed: int = 0,
     return rep
 
 
-def cmd_solve_forward(cfg: RunConfig, out_dir=None) -> str:
+def cmd_solve_forward(cfg: RunConfig) -> str:
     """Solve the configured truth forward problem and write state + data."""
     cfg = cfg.resolved()
     bench = Bench(cfg)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     shape = (bench.grid.nx, bench.grid.ny)
     fields = {f"state_{i}": u for i, u in enumerate(bench.truth_state.reshape(-1, *shape))}
@@ -582,10 +584,10 @@ def cmd_solve_forward(cfg: RunConfig, out_dir=None) -> str:
     return str(out / "observations.json")
 
 
-def cmd_sample_prior(cfg: RunConfig, n: int = 4, out_dir=None) -> str:
+def cmd_sample_prior(cfg: RunConfig, n: int = 4) -> str:
     """Draw prior parameter samples (and realized fields where applicable)."""
     cfg = cfg.resolved()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = prior_params(cfg, n)
     np.savetxt(out / "params.csv", params, delimiter=",", fmt="%.17g")

@@ -5,7 +5,6 @@ import pytest
 
 from opinv.adaptive import (
     AnchorRecord,
-    RefinePolicy,
     fem_eval_count,
     greedy_select,
     local_model_error,
@@ -15,6 +14,7 @@ from opinv.adaptive import (
     should_refine,
     speedup,
 )
+from opinv.config import RunConfig
 from opinv.deeponet import TrainingError
 from opinv.observe import ObservationData, misfit
 from opinv.uki import GaussianState, UKIConfig, run_uki
@@ -52,17 +52,7 @@ class LinearTask:
         self.bias *= self.decay
 
 
-# -- policy / trigger -----------------------------------------------------------
-
-
-def test_policy_validation():
-    RefinePolicy()
-    with pytest.raises(ValueError):
-        RefinePolicy(epsilon=0.0)
-    with pytest.raises(ValueError):
-        RefinePolicy(t_steps=0)
-    with pytest.raises(ValueError):
-        RefinePolicy(q_new=30, k_pool=10)
+# -- trigger ---------------------------------------------------------------------
 
 
 def test_should_refine_cases():
@@ -240,16 +230,21 @@ def loop_fixture(n_dim=2, n_obs=3, seed=3):
     return G, z_true, data, state0
 
 
+def loop_cfg(seed, **loop):
+    """A resolved RunConfig for the loop: alpha 1, no probes unless asked."""
+    return RunConfig(**{"alpha": 1.0, "n_probe": 0, "seed": seed, **loop}).resolved()
+
+
 def test_single_cycle_matches_plain_inversion():
     # with an exact surrogate and one cycle, the loop is a plain sigma-point
     # run followed by an anchor scan
     G, _, data, state0 = loop_fixture()
     task = LinearTask(G)
-    policy = RefinePolicy(epsilon=math.inf, i_max=1, t_steps=6, q_new=2, k_pool=10)
-    record = run_adaptive(task, data, state0, policy, alpha=1.0, rng=0)
+    cfg = loop_cfg(0, epsilon=math.inf, i_max=1, t_steps=6, q_new=2, k_pool=10)
+    record = run_adaptive(task, data, state0, cfg)
 
-    cfg = UKIConfig(alpha=1.0, r0=state0.r, sigma_omega=state0.C)
-    traj = run_uki(state0, lambda Z: Z @ G.T, data, cfg, 6)
+    ukicfg = UKIConfig(alpha=1.0, r0=state0.r, sigma_omega=state0.C)
+    traj = run_uki(state0, lambda Z: Z @ G.T, data, ukicfg, 6)
     scan = [misfit(G @ st.r, data) for st in traj]
     j = int(np.argmin(scan))
 
@@ -267,16 +262,16 @@ def test_single_cycle_matches_plain_inversion():
 def test_exact_surrogate_stops_by_stall_and_respects_trigger():
     G, _, data, state0 = loop_fixture(seed=9)
     task = LinearTask(G)
-    policy = RefinePolicy(epsilon=0.05, i_max=20, t_steps=5, q_new=2, k_pool=10)
-    record = run_adaptive(task, data, state0, policy, alpha=1.0, rng=1)
+    cfg = loop_cfg(1, epsilon=0.05, i_max=20, t_steps=5, q_new=2, k_pool=10)
+    record = run_adaptive(task, data, state0, cfg)
 
     assert record.stopped == "stall"
     assert 1 <= record.n_cycles < 20
     # the recorded misfit sequence must reproduce the stopping rule exactly
     es = [record.e0] + [c.anchor.e for c in record.cycles]
     for prev, nxt in zip(es[:-2], es[1:-1]):
-        assert should_refine(prev, nxt, policy.epsilon)
-    assert not should_refine(es[-2], es[-1], policy.epsilon)
+        assert should_refine(prev, nxt, cfg.epsilon)
+    assert not should_refine(es[-2], es[-1], cfg.epsilon)
     # anchor misfit never increases on the linear fixture
     diffs = np.diff([c.anchor.e for c in record.cycles])
     assert np.all(diffs <= 1e-12)
@@ -285,8 +280,8 @@ def test_exact_surrogate_stops_by_stall_and_respects_trigger():
 def test_refinement_improves_biased_surrogate():
     G, _, data, state0 = loop_fixture(seed=11)
     task = LinearTask(G, bias=0.5, decay=0.3)
-    policy = RefinePolicy(epsilon=0.01, i_max=4, t_steps=3, q_new=4, k_pool=30)
-    record = run_adaptive(task, data, state0, policy, alpha=1.0, rng=2, n_probe=5)
+    cfg = loop_cfg(2, epsilon=0.01, i_max=4, t_steps=3, q_new=4, k_pool=30, n_probe=5)
+    record = run_adaptive(task, data, state0, cfg)
 
     n_refined = sum(c.refined for c in record.cycles)
     assert n_refined == task.refine_count >= 1
@@ -301,18 +296,18 @@ def test_refinement_improves_biased_surrogate():
 
     counts = task.calls
     assert counts["anchor-scan"] == 1 + sum(len(c.anchor.misfits) for c in record.cycles)
-    assert counts["anchor-scan"] <= policy.t_steps * policy.i_max + 1
+    assert counts["anchor-scan"] <= cfg.t_steps * cfg.i_max + 1
     assert counts["adaptive-sample"] == 4 * n_refined
     non_diag = counts["anchor-scan"] + counts["adaptive-sample"]
-    assert non_diag <= (policy.q_new + policy.t_steps) * policy.i_max
+    assert non_diag <= (cfg.q_new + cfg.t_steps) * cfg.i_max
     assert counts["diagnostic"] == 5 * record.n_cycles
 
 
 def test_final_estimate_is_min_misfit_anchor():
     G, _, data, state0 = loop_fixture(seed=13)
     task = LinearTask(G, bias=0.2, decay=0.1)
-    policy = RefinePolicy(epsilon=0.001, i_max=5, t_steps=4, q_new=3, k_pool=20)
-    record = run_adaptive(task, data, state0, policy, alpha=1.0, rng=3)
+    cfg = loop_cfg(3, epsilon=0.001, i_max=5, t_steps=4, q_new=3, k_pool=20)
+    record = run_adaptive(task, data, state0, cfg)
     best = min(range(record.n_cycles), key=lambda i: record.cycles[i].anchor.e)
     assert record.final_cycle == best
     np.testing.assert_array_equal(record.final_r, record.cycles[best].anchor.r)
@@ -323,8 +318,8 @@ def test_inversion_error_metric_is_recorded():
     task = LinearTask(G)
     task.inversion_error = lambda z: float(
         np.linalg.norm(z - z_true) / np.linalg.norm(z_true))
-    policy = RefinePolicy(epsilon=0.05, i_max=6, t_steps=5, q_new=2, k_pool=10)
-    record = run_adaptive(task, data, state0, policy, alpha=1.0, rng=4)
+    cfg = loop_cfg(4, epsilon=0.05, i_max=6, t_steps=5, q_new=2, k_pool=10)
+    record = run_adaptive(task, data, state0, cfg)
     assert all(c.e_i is not None and c.e_i >= 0.0 for c in record.cycles)
     assert record.cycles[-1].e_i < 0.1  # exact surrogate recovers z_true
 
@@ -335,8 +330,8 @@ def test_failed_fine_tune_leaves_partial_record():
     def bad_refine(Z):
         raise TrainingError("no descent")
     task.refine = bad_refine
-    policy = RefinePolicy(epsilon=0.01, i_max=4, t_steps=3, q_new=2, k_pool=10)
-    record = run_adaptive(task, data, state0, policy, alpha=1.0, rng=5)
+    cfg = loop_cfg(5, epsilon=0.01, i_max=4, t_steps=3, q_new=2, k_pool=10)
+    record = run_adaptive(task, data, state0, cfg)
     assert record.stopped.startswith("error at cycle 0")
     assert record.n_cycles == 1
     assert not record.cycles[0].refined
@@ -347,9 +342,9 @@ def test_dead_surrogate_yields_empty_partial_record():
     G, _, data, state0 = loop_fixture(seed=19)
     task = LinearTask(G)
     task.surrogate_forward = lambda Z: np.full((len(Z), 3), np.nan)
-    policy = RefinePolicy(epsilon=0.01, i_max=3, t_steps=3, q_new=2, k_pool=10)
+    cfg = loop_cfg(6, epsilon=0.01, i_max=3, t_steps=3, q_new=2, k_pool=10)
     with pytest.warns(UserWarning):
-        record = run_adaptive(task, data, state0, policy, alpha=1.0, rng=6)
+        record = run_adaptive(task, data, state0, cfg)
     assert record.stopped.startswith("error at cycle 0")
     assert record.n_cycles == 0
     np.testing.assert_array_equal(record.final_r, state0.r)
@@ -357,11 +352,11 @@ def test_dead_surrogate_yields_empty_partial_record():
 
 def test_probe_draws_follow_seed():
     G, _, data, state0 = loop_fixture(seed=21)
-    policy = RefinePolicy(epsilon=0.01, i_max=3, t_steps=3, q_new=2, k_pool=10)
 
     def run(seed):
-        rec = run_adaptive(LinearTask(G, bias=0.3), data, state0, policy,
-                           alpha=1.0, rng=seed, n_probe=4)
+        cfg = loop_cfg(seed, epsilon=0.01, i_max=3, t_steps=3, q_new=2, k_pool=10,
+                       n_probe=4)
+        rec = run_adaptive(LinearTask(G, bias=0.3), data, state0, cfg)
         return [c.e_m for c in rec.cycles]
 
     assert run(7) == run(7)

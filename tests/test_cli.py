@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opinv import cli
 from opinv.cli import build_config, main, make_parser
 from opinv.config import RunConfig
 from opinv.grf import Grid2D, build_kl_basis, sample_field
@@ -20,9 +22,17 @@ def parse(*argv):
 
 def test_every_run_config_field_has_a_flag():
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    assert set(cli._ALL_FIELDS) == fields
-    assert len(cli._ALL_FIELDS) == len(fields)  # no flag listed twice
-    assert fields <= set(vars(parse("invert")))  # and the parser defines each one
+    for command in ("train-offline", "invert", "solve-forward", "sample-prior"):
+        args = vars(parse(command))
+        assert fields <= set(args)
+        assert all(args[name] is None for name in fields)  # unset leaves the preset
+    # each flag sets its field, whatever the preset holds
+    cfg = RunConfig(problem="heat-loc", mode="fem-uki", truth="ood", grid=9, delta=0.05,
+                    seed=3, out_dir="x", alpha=0.5, t_steps=4, q_new=7, epsilon=0.2,
+                    hidden=(5, 6))
+    argv = [f"--{name.replace('_', '-')}={value}" for name, value in cfg.to_dict().items()
+            if name != "hidden"]
+    assert build_config(parse("invert", *argv, "--hidden", "5,6")) == cfg
 
 
 def test_flags_over_preset():
@@ -182,15 +192,41 @@ def test_sample_prior_cli(tmp_path, capsys):
     ["invert", "--alpha", "2"],
     ["invert", "--grid", "2"],
     ["train-offline", "--n-prior", "0"],
+    *(["invert", "--mode", "deeponet-adaptive", flag, value] for flag, value in (
+        ("--q-new", "0"), ("--k-pool", "5"), ("--i-max", "0"), ("--t-steps", "0"),
+        ("--epsilon", "0"), ("--lam", "-1"))),
+    ["invert", "--seed", "-1"],
+    ["invert", "--encoder-axis", "30"],
+    ["invert", "--query-axis", "0"],
+    ["invert", "--sensor-axis", "0"],
+    ["train-offline", "--offline-iters", "-1"],
+    ["train-offline", "--p-basis", "0"],
+    ["train-offline", "--hidden", "0"],
+    ["invert", "--n-probe", "-1"],
+    ["invert", "--start-cov", "0"],
+    ["invert", "--online-iters", "-1"],
+    ["invert", "--mode", "fem-uki", "--t-steps", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # nothing should run, but nothing may land in the repo
+    monkeypatch.chdir(tmp_path)  # no solve may run, so no file may land here
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_bad_config_file_value_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps({"q_new": 0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--config", "run.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "q_new must be at least 1, got 0" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 @pytest.mark.parametrize("content, message", [
@@ -214,3 +250,36 @@ def test_invert_without_checkpoint_fails(tmp_path):
     with pytest.raises(ValueError, match="checkpoint"):
         main(["invert", "--mode", "deeponet-direct",
               *_tiny_flags(tmp_path / "x")])
+
+
+def _readme_commands() -> list:
+    """Every opinv command line in the README's sh blocks, split into words:
+    continuation lines joined, leading VAR=value assignments and a trailing
+    & dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            while words and re.fullmatch(r"[A-Z_]+=\S*", words[0]):
+                words.pop(0)
+            if words and words[-1] == "&":
+                words.pop()
+            if words and words[0] == "opinv":
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        parse(*argv)
+        for word in argv:  # written out in full, not as an abbreviation
+            if word.startswith("--"):
+                assert word.split("=")[0] in _option_strings(argv[0]), (word, argv)
+
+
+def _option_strings(command: str) -> set:
+    sub = next(a for a in make_parser()._actions if a.dest == "command")
+    return {s for a in sub.choices[command]._actions for s in a.option_strings}

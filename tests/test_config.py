@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -53,10 +54,39 @@ def test_resolved_does_not_mutate_original():
     dict(delta=-0.1),
     dict(n_modes=0),
     dict(n_prior=0),
+    dict(scale="huge"),
+    dict(epsilon=0.0),
+    dict(epsilon=math.nan),
+    dict(lam=-1.0),
+    dict(start_cov=0.0),
+    dict(i_max=0),
+    dict(t_steps=0),
+    dict(q_new=0),
+    dict(k_pool=0),
+    dict(q_new=30, k_pool=10),
+    dict(k_pool=5),  # below the q_new of 50 that resolved() fills in
+    dict(p_basis=0),
+    dict(hidden=(16, 0)),
+    dict(query_axis=0),
+    dict(sensor_axis=0),
+    dict(encoder_axis=0),
+    dict(encoder_axis=25),  # above grid 24
+    dict(n_probe=-1),
+    dict(offline_iters=-1),
+    dict(online_iters=-1),
+    dict(seed=-1),
 ])
 def test_validate_rejects(bad):
     with pytest.raises(ValueError):
         RunConfig(**bad).resolved()
+
+
+def test_validate_accepts_the_bounds():
+    RunConfig(i_max=1, t_steps=1, q_new=1, k_pool=1, p_basis=1, hidden=(1,),
+              query_axis=1, sensor_axis=1, encoder_axis=24, n_probe=0,
+              offline_iters=0, online_iters=0, seed=0).resolved()
+    # a point parameter has no encoder, so its encoder_axis is not read
+    RunConfig(problem="heat-loc", encoder_axis=25).resolved()
 
 
 def test_n_dim_property():

@@ -311,12 +311,12 @@ def test_fine_tune_beats_cold_start_on_extended_set():
 
 def test_training_set_extend_stacks_and_checks_queries():
     q = np.array([[0.1], [0.9]])
-    a = TrainingSet([[1.0, 2.0]], [[3.0, 4.0]], q, tags=["prior"], zetas=[[1.0]])
-    b = TrainingSet([[5.0, 6.0]], [[7.0, 8.0]], q, tags=["greedy"], zetas=[[2.0]])
+    a = TrainingSet([[1.0, 2.0]], [[3.0, 4.0]], q)
+    b = TrainingSet([[5.0, 6.0]], [[7.0, 8.0]], q)
     c = a.extend(b)
     assert c.n_entries == 2
-    assert c.tags == ["prior", "greedy"]
-    np.testing.assert_array_equal(c.zetas, [[1.0], [2.0]])
+    np.testing.assert_array_equal(c.inputs, [[1.0, 2.0], [5.0, 6.0]])
+    np.testing.assert_array_equal(c.targets, [[3.0, 4.0], [7.0, 8.0]])
     with pytest.raises(ValueError):
         a.extend(TrainingSet([[5.0, 6.0]], [[7.0, 8.0]], q * 2.0))
 
@@ -325,7 +325,7 @@ def test_training_set_shape_validation():
     with pytest.raises(ValueError):
         TrainingSet(np.zeros((3, 2)), np.zeros((3, 5)), np.zeros((4, 1)))
     with pytest.raises(ValueError):
-        TrainingSet(np.zeros((3, 2)), np.zeros((3, 4)), np.zeros((4, 1)), zetas=np.zeros((2, 1)))
+        TrainingSet(np.zeros((2, 2)), np.zeros((3, 4)), np.zeros((4, 1)))
 
 
 # -- encoder ------------------------------------------------------------------

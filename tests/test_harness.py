@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import time
@@ -45,7 +46,7 @@ def bench():
 @pytest.fixture(scope="module")
 def trained(bench):
     ledger = EvalLedger()
-    surrogate, dataset = harness.offline_train(bench.cfg, bench, ledger)
+    surrogate, dataset = harness.offline_train(bench, ledger)
     return surrogate, dataset, ledger
 
 
@@ -168,7 +169,6 @@ def test_offline_ledger_counts_exactly_n_prior(bench, trained):
     _, dataset, ledger = trained
     assert ledger.counts == {"offline": bench.cfg.n_prior}
     assert dataset.n_entries == bench.cfg.n_prior
-    assert set(dataset.tags) == {"prior"}
 
 
 def test_offline_surrogate_shapes(bench, trained):
@@ -189,8 +189,21 @@ def test_training_set_roundtrip(tmp_path, trained):
     assert np.array_equal(back.inputs, dataset.inputs)
     assert np.array_equal(back.targets, dataset.targets)
     assert np.array_equal(back.queries, dataset.queries)
-    assert back.tags == dataset.tags
-    assert np.array_equal(back.zetas, dataset.zetas)
+    with np.load(path) as z:
+        assert sorted(z.files) == ["inputs", "queries", "targets"]
+
+
+def test_load_training_set_reads_files_with_provenance(tmp_path, trained):
+    # files written before the unread "tags" and "zetas" arrays were dropped
+    _, dataset, _ = trained
+    path = tmp_path / "old.npz"
+    np.savez(path, inputs=dataset.inputs, targets=dataset.targets,
+             queries=dataset.queries, tags=np.array(["prior"] * dataset.n_entries),
+             zetas=np.zeros((dataset.n_entries, 4)))
+    back = harness.load_training_set(path)
+    assert np.array_equal(back.inputs, dataset.inputs)
+    assert np.array_equal(back.targets, dataset.targets)
+    assert np.array_equal(back.queries, dataset.queries)
 
 
 # -- mode runners -------------------------------------------------------------
@@ -199,7 +212,7 @@ def test_training_set_roundtrip(tmp_path, trained):
 @pytest.fixture(scope="module")
 def fem_record(bench):
     ledger = EvalLedger()
-    return harness.run_plain_mode(bench.cfg, bench, ledger, "fem-uki",
+    return harness.run_plain_mode(bench, ledger,
                                   lambda P: bench.full_forward(P, ledger, "fem-uki"))
 
 
@@ -228,9 +241,11 @@ def _clone(s):
 def test_direct_mode_uses_no_full_solves(bench, trained):
     s, _, _ = trained
     ledger = EvalLedger()
-    task = harness.InversionTask(bench, _clone(s), None, ledger, 0)
-    rec = harness.run_plain_mode(bench.cfg, bench, ledger, "deeponet-direct",
-                                 task.surrogate_forward)
+    direct = copy.copy(bench)  # the same bench; only its run's mode differs
+    direct.cfg = replace(bench.cfg, mode="deeponet-direct")
+    task = harness.InversionTask(direct, _clone(s), None, ledger)
+    rec = harness.run_plain_mode(direct, ledger, task.surrogate_forward)
+    assert rec.mode == "deeponet-direct"
     counts = dict(rec.counts)
     counts.pop("total")
     diag = counts.pop("diagnostic")
@@ -242,7 +257,7 @@ def test_direct_mode_uses_no_full_solves(bench, trained):
 def test_adaptive_mode_budget_and_series(bench, trained):
     s, dataset, _ = trained
     ledger = EvalLedger()
-    rec = harness.run_adaptive_mode(bench.cfg, bench, _clone(s), dataset, ledger)
+    rec = harness.run_adaptive_mode(bench, _clone(s), dataset, ledger)
     cfg = bench.cfg
     nondiag = sum(v for k, v in rec.counts.items() if k not in ("diagnostic", "total"))
     assert nondiag <= (cfg.q_new + cfg.t_steps) * cfg.i_max
@@ -271,7 +286,7 @@ def test_fem_mode_truncates_on_a_failed_sigma_point_solve(tmp_path):
 def test_failed_rows_score_inf_and_refinement_raises(bench, trained):
     s, dataset, _ = trained
     ledger = EvalLedger()
-    task = harness.InversionTask(bench, _clone(s), dataset, ledger, 1)
+    task = harness.InversionTask(bench, _clone(s), dataset, ledger)
     Z = np.zeros((3, bench.cfg.n_dim))
     Z[1] = 1e4  # exp(m) overflows in this row only
     Y = task.full_forward(Z, "anchor-scan")
@@ -346,6 +361,19 @@ def test_cmd_invert_checkpoint_arch_mismatch(tmp_path, trained_dir):
     cfg = tiny_cfg(mode="deeponet-direct", encoder_axis=4, out_dir=str(tmp_path))
     with pytest.raises(ValueError, match="branch inputs"):
         harness.cmd_invert(cfg, checkpoint=stem)
+
+
+def test_cmd_invert_checkpoint_query_lattice_mismatch(tmp_path, trained_dir, monkeypatch):
+    # trained at query_axis 5; refused before any solve of the inversion
+    _, stem = trained_dir
+    cfg = tiny_cfg(mode="deeponet-adaptive", query_axis=4, out_dir=str(tmp_path))
+    ledger = EvalLedger()
+    monkeypatch.setattr(harness, "EvalLedger", lambda: ledger)
+    with pytest.raises(ValueError, match=r"5 x 5 query lattice \(25 points\), "
+                                         r"config implies 4 x 4 \(16\)"):
+        harness.cmd_invert(cfg, checkpoint=stem)
+    assert ledger.total() == 0
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")
