@@ -167,8 +167,8 @@ def run_adaptive(task, data, state0: GaussianState, cfg: RunConfig) -> AdaptiveR
       surrogate_forward(Z)  current surrogate for the inversion steps
       surrogate_batch(Z)    current surrogate for pools and probes (may
                             differ from surrogate_forward in the last bits)
-      full_forward(Z, category)  full order, ledgered; a failed solve gives
-                                 a row of NaN
+      full_forward(Z, category)  full order, counted under category; a
+                                 failed solve gives a row of NaN
       refine(Z) -> None   solve full model at the rows of Z (category
                           "adaptive-sample"), grow the training set, fine-tune
       inversion_error(z) -> float   optional per-cycle accuracy metric
@@ -186,7 +186,6 @@ def run_adaptive(task, data, state0: GaussianState, cfg: RunConfig) -> AdaptiveR
     The final estimate is the anchor with the smallest full-order misfit.
     Stage failures stop the loop and leave a partial record."""
     rng = cfg.rng("pool")
-    sigma_omega = (2.0 - cfg.alpha**2) * state0.C
     scan = lambda Z: task.full_forward(Z, "anchor-scan")  # noqa: E731
     e_prev = full_misfits(scan, state0.r, data)[0]
     record = AdaptiveRecord(e0=e_prev, final_r=state0.r.copy(),
@@ -197,7 +196,7 @@ def run_adaptive(task, data, state0: GaussianState, cfg: RunConfig) -> AdaptiveR
                 np.linalg.LinAlgError)
     for t in range(cfg.i_max):
         try:
-            ukicfg = UKIConfig(alpha=cfg.alpha, r0=state.r, sigma_omega=sigma_omega)
+            ukicfg = UKIConfig.anchored(cfg.alpha, state.r, state0.C)
             traj = run_uki(state, task.surrogate_forward, data, ukicfg, cfg.t_steps)
             anchor = select_anchor(traj, scan, data)
         except failures as exc:

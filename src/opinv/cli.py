@@ -143,7 +143,7 @@ def main(argv=None) -> int:
                                 seed=args.seed, eps=args.eps, alpha=args.alpha,
                                 out_dir=args.out)
         print(json.dumps(rep, indent=1, sort_keys=True, default=float))
-        return 0 if rep["passed"] else 2
+        return 0 if rep["passed"] else 1  # 2 is a usage error
 
     try:
         cfg = build_config(args)

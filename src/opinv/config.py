@@ -91,6 +91,16 @@ def default_t_steps(mode: str) -> int:
     return 10 if mode == "deeponet-adaptive" else 20
 
 
+# the values a field of each declared type takes (a bool is no number); a
+# "| None" field also takes None
+_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) is int or isinstance(v, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple": ("a list of integers",
+              lambda v: isinstance(v, (list, tuple)) and all(type(w) is int for w in v)),
+}
+
 _AT_LEAST_1 = ("n_modes", "n_prior", "i_max", "t_steps", "q_new", "k_pool", "p_basis",
                "query_axis", "sensor_axis")
 
@@ -201,10 +211,16 @@ class RunConfig:
         box = d.pop("chi_box", None)
         if box is not None and tuple(box) != SPECS["heat-loc"].point.box:
             raise ValueError(f"chi_box {list(box)} is retired; the prior box is fixed")
-        known = {f.name for f in dataclasses.fields(cls)}
-        bad = set(d) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        bad = set(d) - set(types)
         if bad:
             raise ValueError(f"unknown config fields: {sorted(bad)}")
+        for name, v in d.items():
+            kind, _, nullable = types[name].partition(" | ")
+            what, ok = _KINDS[kind]
+            if not (ok(v) or (nullable and v is None)):
+                raise ValueError(f"config field {name} must be {what}"
+                                 f"{' or null' if nullable else ''}, got {v!r}")
         return cls(**d)
 
     def save(self, path) -> None:

@@ -40,6 +40,7 @@ steppers up to roundoff.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -436,24 +437,7 @@ def _rd_stepper(problem: ReactionDiffusionProblem):
 
 
 # ---------------------------------------------------------------------------
-# parameter-to-state map and evaluation accounting
-
-
-class EvalLedger:
-    """Tally of full-order forward evaluations by category."""
-
-    def __init__(self):
-        self._counts: dict[str, int] = {}
-
-    def add(self, category: str, n: int = 1) -> None:
-        self._counts[category] = self._counts.get(category, 0) + n
-
-    @property
-    def counts(self) -> dict:
-        return dict(self._counts)
-
-    def total(self) -> int:
-        return sum(self._counts.values())
+# parameter-to-state map
 
 
 @lru_cache(maxsize=1)
@@ -468,14 +452,14 @@ def _mode_states(problem, basis: KLBasis):
     return s0, problem.solve_batch(basis.weighted_modes) - s0
 
 
-def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = None,
+def forward_map(problem, basis: KLBasis | None, Z, ledger: Counter | None = None,
                 category: str = "forward") -> np.ndarray:
     """Full-order parameter-to-state map on a (B, n) batch: one state per
-    row of Z, NaN where a solve failed, and one ledger tick per row, failed
-    rows included.  Rows are KL coefficients on ``basis``, or with ``basis``
-    None parameters used as is (such as heat-loc's source centers).  An
-    ``affine`` problem's states are composed, ``s0 + Z @ S`` from
-    ``_mode_states(problem, basis)``; any other problem solves each row
+    row of Z, NaN where a solve failed, and ``ledger[category] += 1`` per
+    row, failed rows included.  Rows are KL coefficients on ``basis``, or
+    with ``basis`` None parameters used as is (such as heat-loc's source
+    centers).  An ``affine`` problem's states are composed, ``s0 + Z @ S``
+    from ``_mode_states(problem, basis)``; any other problem solves each row
     realized as a field, one ``z @ W`` per row."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
@@ -483,7 +467,7 @@ def forward_map(problem, basis: KLBasis | None, Z, ledger: EvalLedger | None = N
     if not hasattr(problem, "solve_batch"):
         raise TypeError(f"unknown problem type {type(problem).__name__}")
     if ledger is not None:
-        ledger.add(category, len(Z))
+        ledger[category] += len(Z)
     if basis is None:
         return problem.solve_batch(Z)
     if problem.affine:

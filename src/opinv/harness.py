@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .deeponet import (
     train,
     write_loss_history,
 )
-from .forward import EvalLedger, SolverError, forward_map
+from .forward import SolverError, forward_map
 from .grf import Grid2D, build_kl_basis, draw_uniform, sample_field
 from .lintheory import LinearModel, verify_error_bound
 from .observe import (
@@ -74,11 +75,14 @@ def make_truth(cfg: RunConfig, grid: Grid2D) -> np.ndarray:
 
 
 class Bench:
-    """One configured benchmark: problem, truth, sensors, data, start state."""
+    """One configured benchmark: problem, truth, sensors, data, start state.
+    A Bench is one run: each command builds one, and ``ledger`` counts the
+    run's full-order solves by category (the truth's, for the data, aside)."""
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
         self.cfg = cfg
+        self.ledger = Counter()
         self.problem = cfg.spec.build(cfg.grid)
         self.grid = self.problem.grid
         # a point parameter is used as is: no basis to realize it on, no encoder
@@ -138,15 +142,17 @@ class Bench:
               else np.array(point.start))
         return GaussianState(r0, self.cfg.start_cov * np.eye(n))
 
-    def full_forward(self, Z, ledger=None, category="forward") -> np.ndarray:
-        """Full-order readings, one row per row of Z.  A row whose solve
-        failed reads NaN: UKI truncates on it, the anchor scan scores it inf."""
-        return self.readings(forward_map(self.problem, self.basis, Z, ledger, category))
+    def full_forward(self, Z, category) -> np.ndarray:
+        """Full-order readings, one row per row of Z, counted under category.
+        A row whose solve failed reads NaN: UKI truncates on it, the anchor
+        scan scores it inf."""
+        return self.readings(forward_map(self.problem, self.basis, Z, self.ledger, category))
 
-    def full_targets(self, Z, ledger, category) -> np.ndarray:
-        """Full-order training targets, one row per row of Z; raises
-        SolverError if a solve failed, so no NaN target enters a training set."""
-        return self.targets(_solved(forward_map(self.problem, self.basis, Z, ledger,
+    def full_targets(self, Z, category) -> np.ndarray:
+        """Full-order training targets, one row per row of Z, counted under
+        category; raises SolverError if a solve failed, so no NaN target
+        enters a training set."""
+        return self.targets(_solved(forward_map(self.problem, self.basis, Z, self.ledger,
                                                 category)))
 
 
@@ -172,11 +178,11 @@ def prior_params(cfg: RunConfig, n: int) -> np.ndarray:
     return rng.standard_normal((n, cfg.n_modes))
 
 
-def offline_train(bench: Bench, ledger: EvalLedger):
+def offline_train(bench: Bench):
     """Draw prior samples, solve the full model for each, train the net."""
     cfg = bench.cfg
     params = prior_params(cfg, cfg.n_prior)
-    targets = bench.full_targets(params, ledger, "offline")
+    targets = bench.full_targets(params, "offline")
     dataset = TrainingSet(bench.encode(params), targets, bench.query_pts)
 
     n_in = dataset.inputs.shape[1]
@@ -193,12 +199,12 @@ def offline_train(bench: Bench, ledger: EvalLedger):
 class InversionTask:
     """Adapter between one Bench + Surrogate pair and the refinement loop."""
 
-    def __init__(self, bench: Bench, surrogate: Surrogate, dataset: TrainingSet | None,
-                 ledger: EvalLedger):
+    def __init__(self, bench: Bench, surrogate: Surrogate, dataset: TrainingSet | None):
         self.bench = bench
         self.surrogate = surrogate
         self.dataset = dataset
-        self.ledger = ledger
+        self.full_forward = bench.full_forward  # counted in the bench's ledger
+        self.inversion_error = bench.inversion_error
 
     def surrogate_batch(self, Z) -> np.ndarray:
         return self.surrogate.eval(self.bench.encode(Z), self.bench.sensor_queries)
@@ -208,15 +214,9 @@ class InversionTask:
         on all rows rounds differently, which the refinement loop amplifies."""
         return np.array([self.surrogate_batch(z[None])[0] for z in Z])
 
-    def full_forward(self, Z, category) -> np.ndarray:
-        return self.bench.full_forward(Z, self.ledger, category)
-
-    def inversion_error(self, z):
-        return self.bench.inversion_error(z)
-
     def refine(self, Z) -> None:
         new = TrainingSet(self.bench.encode(Z),
-                          self.bench.full_targets(Z, self.ledger, "adaptive-sample"),
+                          self.bench.full_targets(Z, "adaptive-sample"),
                           self.bench.query_pts)
         self.dataset = self.dataset.extend(new)
         fine_tune(self.surrogate, self.dataset, self.bench.cfg.online_iters)
@@ -289,15 +289,14 @@ def _base_record(cfg: RunConfig, mode: str) -> RunRecord:
                      final_r=[], final_c_diag=[])
 
 
-def _finish(record: RunRecord, state, ledger: EvalLedger, wall: float) -> None:
+def _finish(record: RunRecord, bench: Bench, state, wall: float) -> None:
     record.final_r = [float(v) for v in state.r]
     record.final_c_diag = [float(v) for v in np.diag(state.C)]
-    record.counts = ledger.counts
-    record.counts["total"] = ledger.total()
+    record.counts = {**bench.ledger, "total": bench.ledger.total()}
     record.timings["invert_s"] = wall
 
 
-def run_plain_mode(bench: Bench, ledger: EvalLedger, forward_batch) -> RunRecord:
+def run_plain_mode(bench: Bench, forward_batch) -> RunRecord:
     """Sigma-point inversion for cfg.t_steps steps of ``bench.cfg`` against
     one fixed forward map ``forward_batch(P) -> Y``: the full-order model
     for fem-uki, the offline surrogate for deeponet-direct.  A surrogate run
@@ -306,8 +305,7 @@ def run_plain_mode(bench: Bench, ledger: EvalLedger, forward_batch) -> RunRecord
     cfg = bench.cfg
     record = _base_record(cfg, cfg.mode)
     state0 = bench.initial_state()
-    ukicfg = UKIConfig(alpha=cfg.alpha, r0=state0.r,
-                       sigma_omega=(2.0 - cfg.alpha**2) * state0.C)
+    ukicfg = UKIConfig.anchored(cfg.alpha, state0.r, state0.C)
     centers = []
     t0 = time.perf_counter()
     traj = run_uki(state0, forward_batch, bench.data, ukicfg, cfg.t_steps,
@@ -321,7 +319,7 @@ def run_plain_mode(bench: Bench, ledger: EvalLedger, forward_batch) -> RunRecord
     record.stopped = ("budget" if len(traj) == cfg.t_steps
                       else f"truncated at step {len(traj) + 1}")
 
-    diagnostic = lambda Z: bench.full_forward(Z, ledger, "diagnostic")  # noqa: E731
+    diagnostic = lambda Z: bench.full_forward(Z, "diagnostic")  # noqa: E731
     record.extras = {"final_e_d": full_misfits(diagnostic, final.r, bench.data)[0],
                      "cycles_used": len(traj), "n_dim": cfg.n_dim}
     if cfg.mode == "deeponet-direct":
@@ -330,15 +328,14 @@ def run_plain_mode(bench: Bench, ledger: EvalLedger, forward_batch) -> RunRecord
             probe = gaussian_pool(final.r, final.C, cfg.n_probe, cfg.rng("pool"))
             e_m_final = local_model_error(forward_batch, diagnostic, probe)
         record.extras["final_e_m"] = e_m_final
-    _finish(record, final, ledger, wall)
+    _finish(record, bench, final, wall)
     return record
 
 
-def run_adaptive_mode(bench: Bench, surrogate: Surrogate, dataset: TrainingSet,
-                      ledger: EvalLedger) -> RunRecord:
+def run_adaptive_mode(bench: Bench, surrogate: Surrogate, dataset: TrainingSet) -> RunRecord:
     cfg = bench.cfg
     record = _base_record(cfg, "deeponet-adaptive")
-    task = InversionTask(bench, surrogate, dataset, ledger)
+    task = InversionTask(bench, surrogate, dataset)
     state0 = bench.initial_state()
     t0 = time.perf_counter()
     result = run_adaptive(task, bench.data, state0, cfg)
@@ -352,7 +349,7 @@ def run_adaptive_mode(bench: Bench, surrogate: Surrogate, dataset: TrainingSet,
                                    if result.cycles else result.e0),
                      "n_dim": cfg.n_dim}
     final = GaussianState(result.final_r, result.final_C)
-    _finish(record, final, ledger, wall)
+    _finish(record, bench, final, wall)
     return record
 
 
@@ -382,16 +379,15 @@ def cmd_train_offline(cfg: RunConfig) -> str:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bench = Bench(cfg)
-    ledger = EvalLedger()
     t0 = time.perf_counter()
-    surrogate, dataset = offline_train(bench, ledger)
+    surrogate, dataset = offline_train(bench)
     wall = time.perf_counter() - t0
     stem = out / "checkpoint"
     surrogate.save(stem)
     save_training_set(out / "dataset.npz", dataset)
     write_loss_history(out / "loss.csv", surrogate)
     cfg.save(out / "config.json")
-    meta = {"wall_s": wall, "counts": ledger.counts, "n_prior": cfg.n_prior,
+    meta = {"wall_s": wall, "counts": dict(bench.ledger), "n_prior": cfg.n_prior,
             "final_loss": surrogate.train_log[-1][1] if surrogate.train_log else None}
     with open(out / "train_meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
@@ -426,20 +422,18 @@ def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
     """Run one inversion in the configured mode; returns the record path."""
     cfg = cfg.resolved()
     bench = Bench(cfg)
-    ledger = EvalLedger()
     if cfg.mode == "fem-uki":
-        record = run_plain_mode(bench, ledger,
-                                lambda P: bench.full_forward(P, ledger, "fem-uki"))
+        record = run_plain_mode(bench, lambda P: bench.full_forward(P, "fem-uki"))
         surrogate = None
     else:
         if checkpoint is None:
             raise ValueError(f"mode {cfg.mode} requires a checkpoint")
         surrogate, dataset = _load_checkpoint(bench, checkpoint)
         if cfg.mode == "deeponet-direct":
-            task = InversionTask(bench, surrogate, None, ledger)
-            record = run_plain_mode(bench, ledger, task.surrogate_forward)
+            task = InversionTask(bench, surrogate, None)
+            record = run_plain_mode(bench, task.surrogate_forward)
         else:
-            record = run_adaptive_mode(bench, surrogate, dataset, ledger)
+            record = run_adaptive_mode(bench, surrogate, dataset)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

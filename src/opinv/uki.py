@@ -71,6 +71,11 @@ class UKIConfig:
         object.__setattr__(self, "sigma_omega",
                            np.atleast_2d(np.asarray(self.sigma_omega, dtype=float)))
 
+    @classmethod
+    def anchored(cls, alpha: float, r0, C0) -> "UKIConfig":
+        """Both drivers' config: mean anchor r0, evolution covariance (2 - alpha^2) C0."""
+        return cls(alpha=alpha, r0=r0, sigma_omega=(2.0 - alpha**2) * C0)
+
 
 def unscented_weights(n_dim: int) -> tuple[float, float]:
     """(spread c, off-center weight w) of the modified unscented transform."""

@@ -138,8 +138,9 @@ def test_verify_linear_exit_codes(tmp_path, capsys):
     assert rep["passed"] is True
     assert (tmp_path / "linear_check.json").exists()
 
-    # underdetermined observations: no fixed point exists to perturb
-    assert main(["verify-linear", "--n-dim", "4", "--n-obs", "2"]) == 2
+    # underdetermined observations: no fixed point exists to perturb; a failed
+    # check exits 1, apart from the usage errors' 2
+    assert main(["verify-linear", "--n-dim", "4", "--n-obs", "2"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["passed"] is False
     assert "error" in rep
@@ -226,6 +227,24 @@ def test_bad_config_file_value_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "q_new must be at least 1, got 0" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"grid": "a"}, "grid must be an integer, got 'a'"),
+    ({"hidden": 5}, "hidden must be a list of integers, got 5"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"epsilon": "x"}, "epsilon must be a number, got 'x'"),
+], ids=["grid", "hidden", "seed", "epsilon"])
+def test_config_file_value_of_the_wrong_type_is_a_usage_error(settings, message, tmp_path,
+                                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps(settings))
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--config", "run.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 

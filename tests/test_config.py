@@ -132,6 +132,24 @@ def test_from_dict_rejects_unknown_keys():
         RunConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("scale", SCALES)
+def test_from_dict_takes_every_preset_as_json(problem, scale):
+    for cfg in (preset(problem, scale), preset(problem, scale).resolved()):
+        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_from_dict_checks_each_value_against_its_field_type():
+    # a float field takes an integer; a "| None" field takes null
+    cfg = RunConfig.from_dict({"delta": 1, "alpha": None, "t_steps": None, "hidden": [3]})
+    assert (cfg.delta, cfg.alpha, cfg.t_steps, cfg.hidden) == (1, None, None, (3,))
+    for name, bad in (("grid", 24.0), ("seed", True), ("delta", False), ("delta", "0.1"),
+                      ("problem", None), ("epsilon", None), ("hidden", [4, 2.5]),
+                      ("hidden", "64")):
+        with pytest.raises(ValueError, match=f"config field {name} must be"):
+            RunConfig.from_dict({name: bad})
+
+
 def test_save_load(tmp_path):
     cfg = RunConfig(grid=13, n_modes=5, seed=123).resolved()
     path = tmp_path / "cfg.json"

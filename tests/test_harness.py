@@ -1,7 +1,7 @@
-import copy
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -9,11 +9,10 @@ import pytest
 
 from opinv import harness
 from opinv.adaptive import local_model_error, select_anchor
-from opinv.config import PROBLEMS, SPECS, ProblemSpec, RunConfig, preset
+from opinv.config import MODES, PROBLEMS, SPECS, ProblemSpec, RunConfig, preset
 from opinv.deeponet import TrainingSet, encoder_indices
 from opinv.forward import (
     DarcyProblem,
-    EvalLedger,
     HeatSourceFieldProblem,
     HeatSourceLocProblem,
     ReactionDiffusionProblem,
@@ -40,14 +39,16 @@ def tiny_cfg(**over):
 
 @pytest.fixture(scope="module")
 def bench():
+    """Shared by the tests that read it; its ledger adds up across them, so
+    a test that asserts exact counts builds its own Bench."""
     return Bench(tiny_cfg())
 
 
 @pytest.fixture(scope="module")
-def trained(bench):
-    ledger = EvalLedger()
-    surrogate, dataset = harness.offline_train(bench, ledger)
-    return surrogate, dataset, ledger
+def trained():
+    own = Bench(tiny_cfg())
+    surrogate, dataset = harness.offline_train(own)
+    return surrogate, dataset, dict(own.ledger)
 
 
 # -- problem / truth assembly -------------------------------------------------
@@ -166,8 +167,8 @@ def test_inversion_error_zero_at_truth_for_heat_loc():
 
 
 def test_offline_ledger_counts_exactly_n_prior(bench, trained):
-    _, dataset, ledger = trained
-    assert ledger.counts == {"offline": bench.cfg.n_prior}
+    _, dataset, counts = trained
+    assert counts == {"offline": bench.cfg.n_prior}
     assert dataset.n_entries == bench.cfg.n_prior
 
 
@@ -210,10 +211,9 @@ def test_load_training_set_reads_files_with_provenance(tmp_path, trained):
 
 
 @pytest.fixture(scope="module")
-def fem_record(bench):
-    ledger = EvalLedger()
-    return harness.run_plain_mode(bench, ledger,
-                                  lambda P: bench.full_forward(P, ledger, "fem-uki"))
+def fem_record():
+    own = Bench(tiny_cfg())
+    return harness.run_plain_mode(own, lambda P: own.full_forward(P, "fem-uki"))
 
 
 def test_fem_mode_eval_budget(bench, fem_record):
@@ -240,11 +240,9 @@ def _clone(s):
 
 def test_direct_mode_uses_no_full_solves(bench, trained):
     s, _, _ = trained
-    ledger = EvalLedger()
-    direct = copy.copy(bench)  # the same bench; only its run's mode differs
-    direct.cfg = replace(bench.cfg, mode="deeponet-direct")
-    task = harness.InversionTask(direct, _clone(s), None, ledger)
-    rec = harness.run_plain_mode(direct, ledger, task.surrogate_forward)
+    direct = Bench(replace(bench.cfg, mode="deeponet-direct"))
+    task = harness.InversionTask(direct, _clone(s), None)
+    rec = harness.run_plain_mode(direct, task.surrogate_forward)
     assert rec.mode == "deeponet-direct"
     counts = dict(rec.counts)
     counts.pop("total")
@@ -256,8 +254,7 @@ def test_direct_mode_uses_no_full_solves(bench, trained):
 
 def test_adaptive_mode_budget_and_series(bench, trained):
     s, dataset, _ = trained
-    ledger = EvalLedger()
-    rec = harness.run_adaptive_mode(bench, _clone(s), dataset, ledger)
+    rec = harness.run_adaptive_mode(Bench(bench.cfg), _clone(s), dataset)
     cfg = bench.cfg
     nondiag = sum(v for k, v in rec.counts.items() if k not in ("diagnostic", "total"))
     assert nondiag <= (cfg.q_new + cfg.t_steps) * cfg.i_max
@@ -285,13 +282,13 @@ def test_fem_mode_truncates_on_a_failed_sigma_point_solve(tmp_path):
 
 def test_failed_rows_score_inf_and_refinement_raises(bench, trained):
     s, dataset, _ = trained
-    ledger = EvalLedger()
-    task = harness.InversionTask(bench, _clone(s), dataset, ledger)
+    own = Bench(bench.cfg)
+    task = harness.InversionTask(own, _clone(s), dataset)
     Z = np.zeros((3, bench.cfg.n_dim))
     Z[1] = 1e4  # exp(m) overflows in this row only
     Y = task.full_forward(Z, "anchor-scan")
     assert np.all(np.isnan(Y[1]))
-    assert np.array_equal(Y[0], bench.full_forward(Z[:1])[0])
+    assert np.array_equal(Y[0], bench.full_forward(Z[:1], "forward")[0])
 
     traj = [GaussianState(z, np.eye(len(z))) for z in Z]
     anchor = select_anchor(traj, lambda P: task.full_forward(P, "anchor-scan"), bench.data)
@@ -301,7 +298,7 @@ def test_failed_rows_score_inf_and_refinement_raises(bench, trained):
     with pytest.raises(SolverError):
         task.refine(Z)
     assert task.dataset is dataset  # no NaN target entered the training set
-    assert ledger.counts == {"anchor-scan": 6, "diagnostic": 3, "adaptive-sample": 3}
+    assert own.ledger == {"anchor-scan": 6, "diagnostic": 3, "adaptive-sample": 3}
 
 
 # -- persistence --------------------------------------------------------------
@@ -363,16 +360,45 @@ def test_cmd_invert_checkpoint_arch_mismatch(tmp_path, trained_dir):
         harness.cmd_invert(cfg, checkpoint=stem)
 
 
+def _tally_forward_map(monkeypatch) -> Counter:
+    """Wrap harness.forward_map to tally len(Z) per category, apart from any
+    Bench ledger."""
+    tally, real = Counter(), harness.forward_map
+
+    def counting(problem, basis, Z, ledger, category):
+        tally[category] += len(Z)
+        return real(problem, basis, Z, ledger, category)
+
+    monkeypatch.setattr(harness, "forward_map", counting)
+    return tally
+
+
+def test_every_full_solve_is_counted_in_one_ledger(tmp_path, monkeypatch):
+    # the counts each command writes are exactly the rows forward_map mapped
+    tally = _tally_forward_map(monkeypatch)
+    harness.cmd_train_offline(tiny_cfg(mode="deeponet-adaptive",
+                                       out_dir=str(tmp_path / "train")))
+    meta = json.loads((tmp_path / "train" / "train_meta.json").read_text())
+    assert meta["counts"] == dict(tally) == {"offline": 20}
+    for mode in MODES:
+        tally.clear()
+        ckpt = None if mode == "fem-uki" else str(tmp_path / "train" / "checkpoint")
+        counts = harness.load_record(harness.cmd_invert(
+            tiny_cfg(mode=mode, out_dir=str(tmp_path / mode)), checkpoint=ckpt))["counts"]
+        total = counts.pop("total")
+        assert counts == dict(tally), mode
+        assert total == tally.total() > 0
+
+
 def test_cmd_invert_checkpoint_query_lattice_mismatch(tmp_path, trained_dir, monkeypatch):
     # trained at query_axis 5; refused before any solve of the inversion
     _, stem = trained_dir
     cfg = tiny_cfg(mode="deeponet-adaptive", query_axis=4, out_dir=str(tmp_path))
-    ledger = EvalLedger()
-    monkeypatch.setattr(harness, "EvalLedger", lambda: ledger)
+    tally = _tally_forward_map(monkeypatch)
     with pytest.raises(ValueError, match=r"5 x 5 query lattice \(25 points\), "
                                          r"config implies 4 x 4 \(16\)"):
         harness.cmd_invert(cfg, checkpoint=stem)
-    assert ledger.total() == 0
+    assert tally.total() == 0
     assert not any(tmp_path.iterdir())
 
 
@@ -536,9 +562,10 @@ def linear_model(bench: Bench) -> LinearModel:
     """The exact linear model of an affine problem: G and the offset read
     from n_dim + 1 full-order solves, the start state of the inversion."""
     n, cfg = bench.cfg.n_dim, bench.cfg
-    b = bench.full_forward(np.zeros((1, n)))[0]
+    b = bench.full_forward(np.zeros((1, n)), "forward")[0]
     st0 = bench.initial_state()
-    return LinearModel(G=(bench.full_forward(np.eye(n)) - b).T, y=bench.data.y_obs - b,
+    return LinearModel(G=(bench.full_forward(np.eye(n), "forward") - b).T,
+                       y=bench.data.y_obs - b,
                        alpha=cfg.alpha, r0=st0.r,
                        sigma_omega=(2.0 - cfg.alpha**2) * st0.C,
                        sigma_eta=bench.data.noise_cov)
