@@ -164,9 +164,8 @@ def run_adaptive(task, data, state0: GaussianState, cfg: RunConfig) -> AdaptiveR
 
     task is duck-typed and supplies the models, each mapping a (B, n)
     parameter batch to (B, p) outputs:
-      surrogate_forward(Z)  current surrogate for the inversion steps
-      surrogate_batch(Z)    current surrogate for pools and probes (may
-                            differ from surrogate_forward in the last bits)
+      surrogate_batch(Z)  current surrogate, for the inversion steps, pools
+                          and probes
       full_forward(Z, category)  full order, counted under category; a
                                  failed solve gives a row of NaN
       refine(Z) -> None   solve full model at the rows of Z (category
@@ -197,7 +196,7 @@ def run_adaptive(task, data, state0: GaussianState, cfg: RunConfig) -> AdaptiveR
     for t in range(cfg.i_max):
         try:
             ukicfg = UKIConfig.anchored(cfg.alpha, state.r, state0.C)
-            traj = run_uki(state, task.surrogate_forward, data, ukicfg, cfg.t_steps)
+            traj = run_uki(state, task.surrogate_batch, data, ukicfg, cfg.t_steps)
             anchor = select_anchor(traj, scan, data)
         except failures as exc:
             record.stopped = f"error at cycle {t}: {exc}"

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 from . import __version__
 from .config import MODES, PROBLEMS, SCALES, TRUTHS, RunConfig, preset
@@ -135,6 +136,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "report":
+        for rec in args.records:  # a record.json or the run directory holding one
+            if not (Path(rec).is_file() or Path(rec, "record.json").is_file()):
+                parser.error(f"no run record at {rec}")
         print(cmd_report(args.records, out_dir=args.out), end="")
         return 0
 
@@ -149,6 +153,13 @@ def main(argv=None) -> int:
         cfg = build_config(args)
     except ValueError as err:  # a usage error: exit 2, no traceback
         parser.error(str(err))
+    if args.command == "invert" and cfg.mode != "fem-uki":
+        stem = args.checkpoint
+        if stem is None:
+            parser.error(f"--mode {cfg.mode} requires --checkpoint")
+        for path in (stem + ".json", stem + ".bin"):
+            if not Path(path).is_file():
+                parser.error(f"--checkpoint {stem}: no file {path}")
     if args.command == "train-offline":
         print(cmd_train_offline(cfg))
     elif args.command == "invert":

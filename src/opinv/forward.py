@@ -22,14 +22,16 @@ snapshots.  A solve that fails leaves its row NaN.  Heat-field and heat-loc
 map the whole batch with a few dense matmuls, and reaction-diffusion marches
 it with multi-column SuperLU solves.  Darcy builds the band rows of every
 row's matrix, and checks every residual, in whole-batch array ops; only the
-banded Cholesky runs one row at a time, as each field has its own matrix.
+banded Cholesky runs one row at a time.  A Darcy or heat-loc row's state
+never depends on the batch it rides in.
 
 Each problem class also declares ``affine``: whether its state is an affine
 map of its parameter field.  Heat-field's is (its initial state adds a fixed
 term), and reaction-diffusion's is linear.  On a KL basis, ``forward_map``
 composes such a problem's states from the states of the zero field and of
 the basis rows, solved once per (problem, basis), instead of realizing and
-solving every row.
+solving every row; any other problem's batch is realized by one
+``sample_field`` call.
 
 Diffusion under Neumann walls and the advection term both use node-centered
 finite-volume stencils (half cells at the walls) whose weighted column sums
@@ -459,8 +461,9 @@ def forward_map(problem, basis: KLBasis | None, Z, ledger: Counter | None = None
     row, failed rows included.  Rows are KL coefficients on ``basis``, or
     with ``basis`` None parameters used as is (such as heat-loc's source
     centers).  An ``affine`` problem's states are composed, ``s0 + Z @ S``
-    from ``_mode_states(problem, basis)``; any other problem solves each row
-    realized as a field, one ``z @ W`` per row."""
+    from ``_mode_states(problem, basis)``; any other problem solves the
+    batch realized by one ``sample_field(basis, Z)`` call, whose rows each
+    round as a batch of one."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
         raise ValueError(f"parameter batch must be (B, n), got shape {Z.shape}")
@@ -473,4 +476,4 @@ def forward_map(problem, basis: KLBasis | None, Z, ledger: Counter | None = None
     if problem.affine:
         s0, S = _mode_states(problem, basis)
         return s0 + Z @ S
-    return problem.solve_batch(np.array([sample_field(basis, z) for z in Z]))
+    return problem.solve_batch(sample_field(basis, Z))

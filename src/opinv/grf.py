@@ -169,11 +169,12 @@ def build_kl_basis(
 
 def sample_field(basis: KLBasis, zeta: np.ndarray) -> np.ndarray:
     """Nodal values (flat, x-major) of the field with KL coefficients
-    ``zeta`` on the basis grid."""
-    zeta = np.asarray(zeta, dtype=float).ravel()
-    if zeta.size != basis.n_modes:
-        raise ValueError(f"zeta length {zeta.size} != n_modes {basis.n_modes}")
-    return zeta @ basis.weighted_modes
+    ``zeta`` on the basis grid, or the (B, n_nodes) fields of a (B, n_modes)
+    batch: one stacked product whose rows each round as a batch of one."""
+    zeta = np.asarray(zeta, dtype=float)
+    if zeta.ndim not in (1, 2) or zeta.shape[-1] != basis.n_modes:
+        raise ValueError(f"zeta shape {zeta.shape} is not (n,) or (B, n) for n = {basis.n_modes}")
+    return (zeta[..., None, :] @ basis.weighted_modes)[..., 0, :]
 
 
 def draw_uniform(n_modes: int, rng, low: float = -20.0, high: float = 20.0) -> np.ndarray:

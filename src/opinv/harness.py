@@ -207,12 +207,10 @@ class InversionTask:
         self.inversion_error = bench.inversion_error
 
     def surrogate_batch(self, Z) -> np.ndarray:
-        return self.surrogate.eval(self.bench.encode(Z), self.bench.sensor_queries)
-
-    def surrogate_forward(self, Z) -> np.ndarray:
-        """Surrogate outputs for the inversion steps, one row per call: a call
-        on all rows rounds differently, which the refinement loop amplifies."""
-        return np.array([self.surrogate_batch(z[None])[0] for z in Z])
+        """Surrogate readings of a (B, n) batch, from one call on its (B, 1, n)
+        stack: each row rounds as a batch of one, whatever batch it rides in."""
+        return self.surrogate.eval(self.bench.encode(Z[:, None]),
+                                   self.bench.sensor_queries)[:, 0]
 
     def refine(self, Z) -> None:
         new = TrainingSet(self.bench.encode(Z),
@@ -431,7 +429,7 @@ def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
         surrogate, dataset = _load_checkpoint(bench, checkpoint)
         if cfg.mode == "deeponet-direct":
             task = InversionTask(bench, surrogate, None)
-            record = run_plain_mode(bench, task.surrogate_forward)
+            record = run_plain_mode(bench, task.surrogate_batch)
         else:
             record = run_adaptive_mode(bench, surrogate, dataset)
 
@@ -588,6 +586,6 @@ def cmd_sample_prior(cfg: RunConfig, n: int = 4) -> str:
     if cfg.spec.point is None:
         grid = Grid2D(cfg.grid, cfg.grid)
         basis = build_kl_basis(grid, cfg.n_modes)
-        save_fields(out, {f"sample_{i}": sample_field(basis, z).reshape(grid.nx, grid.ny)
-                          for i, z in enumerate(params)})
+        fields = sample_field(basis, params).reshape(n, grid.nx, grid.ny)
+        save_fields(out, {f"sample_{i}": f for i, f in enumerate(fields)})
     return str(out / "params.csv")

@@ -36,9 +36,6 @@ class LinearTask:
         self.calls = {"anchor-scan": 0, "adaptive-sample": 0, "diagnostic": 0}
         self.refine_count = 0
 
-    def surrogate_forward(self, Z):
-        return Z @ self.G.T + self.bias
-
     def surrogate_batch(self, Z):
         return Z @ self.G.T + self.bias
 
@@ -341,7 +338,7 @@ def test_failed_fine_tune_leaves_partial_record():
 def test_dead_surrogate_yields_empty_partial_record():
     G, _, data, state0 = loop_fixture(seed=19)
     task = LinearTask(G)
-    task.surrogate_forward = lambda Z: np.full((len(Z), 3), np.nan)
+    task.surrogate_batch = lambda Z: np.full((len(Z), 3), np.nan)
     cfg = loop_cfg(6, epsilon=0.01, i_max=3, t_steps=3, q_new=2, k_pool=10)
     with pytest.warns(UserWarning):
         record = run_adaptive(task, data, state0, cfg)

@@ -265,10 +265,20 @@ def test_unreadable_config_file_is_a_usage_error(content, message, tmp_path, cap
     assert "Traceback" not in err
 
 
-def test_invert_without_checkpoint_fails(tmp_path):
-    with pytest.raises(ValueError, match="checkpoint"):
-        main(["invert", "--mode", "deeponet-direct",
-              *_tiny_flags(tmp_path / "x")])
+@pytest.mark.parametrize("argv, message", [
+    (["invert", "--mode", "deeponet-direct"], "--mode deeponet-direct requires --checkpoint"),
+    (["invert", "--mode", "deeponet-adaptive", "--checkpoint", "missing/checkpoint"],
+     "--checkpoint missing/checkpoint: no file missing/checkpoint.json"),
+    (["report", "missing_dir"], "no run record at missing_dir"),
+], ids=["no-checkpoint", "missing-checkpoint", "missing-record"])
+def test_bad_path_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # checked before any work, so nothing lands here
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def _readme_commands() -> list:

@@ -196,3 +196,20 @@ def test_large_basis_stays_sorted():
     b = build_kl_basis(Grid2D(4, 4), 200)
     assert np.all(np.diff(b.eigenvalues) <= 1e-18)
     assert b.wavenumbers.shape == (200, 2)
+
+
+def test_sample_field_rows_round_as_batches_of_one():
+    # a batch is realized row by row as one stacked product: each row is
+    # bit-identical to the field of that row alone
+    b = build_kl_basis(Grid2D(24, 24), 32)
+    Z = np.random.default_rng(0).standard_normal((65, 32))
+    F = sample_field(b, Z)
+    assert F.shape == (65, 24 * 24)
+    for i, z in enumerate(Z):
+        assert np.array_equal(F[i], sample_field(b, z))
+
+
+@pytest.mark.parametrize("shape", [(), (31,), (33,), (65, 31), (1, 1, 32), (2, 32, 1)])
+def test_sample_field_rejects_other_shapes(shape):
+    with pytest.raises(ValueError):
+        sample_field(build_kl_basis(Grid2D(8, 8), 32), np.zeros(shape))

@@ -10,7 +10,7 @@ import pytest
 from opinv import harness
 from opinv.adaptive import local_model_error, select_anchor
 from opinv.config import MODES, PROBLEMS, SPECS, ProblemSpec, RunConfig, preset
-from opinv.deeponet import TrainingSet, encoder_indices
+from opinv.deeponet import NetArch, TrainingSet, encoder_indices
 from opinv.forward import (
     DarcyProblem,
     HeatSourceFieldProblem,
@@ -242,7 +242,7 @@ def test_direct_mode_uses_no_full_solves(bench, trained):
     s, _, _ = trained
     direct = Bench(replace(bench.cfg, mode="deeponet-direct"))
     task = harness.InversionTask(direct, _clone(s), None)
-    rec = harness.run_plain_mode(direct, task.surrogate_forward)
+    rec = harness.run_plain_mode(direct, task.surrogate_batch)
     assert rec.mode == "deeponet-direct"
     counts = dict(rec.counts)
     counts.pop("total")
@@ -250,6 +250,25 @@ def test_direct_mode_uses_no_full_solves(bench, trained):
     assert counts == {}  # nothing outside the diagnostic category
     assert diag == 1 + bench.cfg.n_probe
     assert rec.extras["final_e_m"] is not None
+
+
+@pytest.mark.parametrize("problem", ["darcy", "heat-loc"])
+def test_surrogate_rows_round_as_batches_of_one(problem, trained):
+    # a row's reading never depends on the batch it rides in, in any order,
+    # so the UKI steps, pools and probes share one whole-batch call
+    own = Bench(tiny_cfg(problem=problem))
+    if problem == "darcy":
+        s = trained[0]
+    else:  # the identity encoder: the branch reads the centers as they are
+        arch = NetArch((2, 16, 16, 8), (own.sensor_queries.shape[1], 16, 16, 8))
+        s = harness.Surrogate.init(arch, 0, out_shift=0.3, out_scale=1.7)
+    task = harness.InversionTask(own, s, None)
+    Z = np.random.default_rng(3).standard_normal((65, own.cfg.n_dim))
+    for order in (np.arange(65), np.random.default_rng(4).permutation(65)):
+        Y = task.surrogate_batch(Z[order])
+        assert Y.shape == (65, len(own.sensor_queries))
+        for i in range(65):
+            assert np.array_equal(Y[i], task.surrogate_batch(Z[order][i:i + 1])[0])
 
 
 def test_adaptive_mode_budget_and_series(bench, trained):

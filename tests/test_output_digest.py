@@ -40,3 +40,15 @@ def test_digest_drops_timings_and_out_dir_only(tmp_path):
     moved = output_digest.dir_digest(tmp_path / "moved")
     assert moved != base
     assert [a == b for a, b in zip(moved, base)] == [True, False, True, True]
+
+
+def test_series_lines_print_each_value_in_repr():
+    record = {"series": [
+        {"cycle": 0, "e_d": 118.98, "e_m": 6.007, "e_i": 0.1 + 0.2},
+        {"cycle": 1, "e_d": 5.5, "e_m": None, "e_i": None},
+    ]}
+    assert output_digest.series_lines("darcy", record) == [
+        "darcy: cycle 0 e_d 118.98 e_m 6.007 e_i 0.30000000000000004",
+        "darcy: cycle 1 e_d 5.5 e_m None e_i None",
+    ]
+    assert output_digest.series_lines("darcy", {"series": []}) == []

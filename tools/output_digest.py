@@ -3,14 +3,14 @@
     python3 tools/output_digest.py darcy-adaptive [--seed 7] > digest.txt
 
 Runs the workload's operation (``bench/workloads.py``, imported as is) once
-into a temporary directory.  Prints each problem's stop reason and solve
-counts, then one sha256 per artifact, by path.  A JSON artifact is hashed
-after dropping the values that differ between identical runs (``DROPPED``:
-the timings and the output directory) and re-serialized with sorted keys;
-any other artifact is hashed as raw bytes (``np.savez`` writes a fixed zip
-timestamp, so ``dataset.npz`` hashes are stable).  Run it in two checkouts
-and compare the outputs with ``diff``.  BLAS is pinned to one thread, as in
-the benchmark.
+into a temporary directory.  Prints each problem's stop reason, solve counts
+and series rows (``series_lines``), then one sha256 per artifact, by path.
+A JSON artifact is hashed after dropping the values that differ between
+identical runs (``DROPPED``: the timings and the output directory) and
+re-serialized with sorted keys; any other artifact is hashed as raw bytes
+(``np.savez`` writes a fixed zip timestamp, so ``dataset.npz`` hashes are
+stable).  Run it in two checkouts and compare the outputs with ``diff``.
+BLAS is pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ def dir_digest(root: Path) -> list:
             for p in sorted(root.rglob("*")) if p.is_file()]
 
 
+def series_lines(problem: str, record: dict) -> list:
+    """One line per series row of a run record: the cycle, then e_d, e_m and
+    e_i in repr, so that a diff of two digests names the value that moved."""
+    return [f"{problem}: cycle {row['cycle']} "
+            + " ".join(f"{k} {row[k]!r}" for k in ("e_d", "e_m", "e_i"))
+            for row in record["series"]]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("workload")
@@ -71,6 +79,8 @@ def main(argv=None) -> int:
             if inv.train_meta is not None:
                 print(f"{inv.problem}: offline counts "
                       f"{json.dumps(inv.train_meta['counts'], sort_keys=True)}")
+            for line in series_lines(inv.problem, inv.record):
+                print(line)
         for line in dir_digest(Path(tmp)):
             print(line)
     return 0
