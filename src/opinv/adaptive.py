@@ -76,13 +76,13 @@ def full_misfits(forward_full, Z, data) -> list:
 def select_anchor(traj, forward_full, data) -> AnchorRecord:
     """Pick the trajectory state whose mean best fits the data under the
     full-order model.  One batch call scores every state; ties break to the
-    earliest state; blown-up states score inf."""
+    earliest state; blown-up states score inf, and UkiError if all do."""
     if len(traj) == 0:
-        raise ValueError("empty trajectory")
+        raise UkiError("empty trajectory")
     misfits = full_misfits(forward_full, [st.r for st in traj], data)
     j = int(np.argmin(misfits))
     if not math.isfinite(misfits[j]):
-        raise ValueError("all anchor candidates evaluated non-finite")
+        raise UkiError("all anchor candidates evaluated non-finite")
     st = traj[j]
     return AnchorRecord(st.r.copy(), st.C.copy(), misfits[j], j + 1, misfits)
 
@@ -183,7 +183,8 @@ def run_adaptive(task, data, state0: GaussianState, cfg: RunConfig) -> AdaptiveR
     the last cycle) is skipped, which keeps non-diagnostic work within
     (q_new + t_steps) * i_max calls.
     The final estimate is the anchor with the smallest full-order misfit.
-    Stage failures stop the loop and leave a partial record."""
+    A typed stage failure (UkiError, SolverError, TrainingError, LinAlgError)
+    stops the loop and leaves a partial record; any other error propagates."""
     rng = cfg.rng("pool")
     scan = lambda Z: task.full_forward(Z, "anchor-scan")  # noqa: E731
     e_prev = full_misfits(scan, state0.r, data)[0]
@@ -191,8 +192,7 @@ def run_adaptive(task, data, state0: GaussianState, cfg: RunConfig) -> AdaptiveR
                             final_C=state0.C.copy(), stopped="budget")
     err_metric = getattr(task, "inversion_error", None)
     state = state0
-    failures = (UkiError, SolverError, TrainingError, ValueError,
-                np.linalg.LinAlgError)
+    failures = (UkiError, SolverError, TrainingError, np.linalg.LinAlgError)
     for t in range(cfg.i_max):
         try:
             ukicfg = UKIConfig.anchored(cfg.alpha, state.r, state0.C)

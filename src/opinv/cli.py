@@ -3,7 +3,8 @@
 Subcommands mirror the harness drivers: train-offline, invert, report,
 verify-linear, solve-forward, sample-prior.  Run settings resolve in three
 layers: the (problem, scale) preset, then an optional --config JSON file,
-then individual flags.
+then individual flags.  The CLI only parses: each command checks what it
+reads and raises UsageError, which exits 2 with one error line.
 """
 
 from __future__ import annotations
@@ -11,12 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
-from pathlib import Path
 
 from . import __version__
-from .config import MODES, PROBLEMS, SCALES, TRUTHS, RunConfig, preset
+from .config import MODES, PROBLEMS, SCALES, TRUTHS, RunConfig, UsageError, preset
 from .harness import (
     cmd_invert,
     cmd_report,
@@ -31,25 +30,8 @@ def _int_tuple(s: str) -> tuple:
     return tuple(int(v) for v in s.split(","))
 
 
-def _eps_list(s: str) -> tuple:
-    v = tuple(float(e) for e in s.split(","))
-    if len(set(v)) < 2 or not all(0.0 < e < math.inf for e in v):
-        raise argparse.ArgumentTypeError("need two or more distinct positive values")
-    return v
-
-
-def _positive_int(s: str) -> int:
-    v = int(s)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
-    return v
-
-
-def _alpha(s: str) -> float:
-    v = float(s)
-    if not 0.0 < v <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {v}")
-    return v
+def _float_tuple(s: str) -> tuple:
+    return tuple(float(v) for v in s.split(","))
 
 
 _PARSERS = {"int": int, "float": float, "str": str, "tuple": _int_tuple}
@@ -67,17 +49,18 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """preset < config file < explicit flags; ValueError on a bad key or value,
-    or on a config file that cannot be read as a JSON object."""
+    """preset < config file < explicit flags; UsageError on a bad key or
+    value type, or on a config file that cannot be read as a JSON object.
+    Ranges are checked by the command, which resolves the config first."""
     file_dict = {}
     if args.config:
         try:
             with open(args.config) as fh:
                 file_dict = json.load(fh)
         except (OSError, ValueError) as err:  # missing, unreadable or not JSON
-            raise ValueError(f"cannot read config file {args.config}: {err}") from err
+            raise UsageError(f"cannot read config file {args.config}: {err}") from err
         if not isinstance(file_dict, dict):
-            raise ValueError(f"config file {args.config} does not hold a JSON object")
+            raise UsageError(f"config file {args.config} does not hold a JSON object")
         RunConfig.from_dict(file_dict)  # partial files allowed; keys checked here
     problem = args.problem or file_dict.get("problem") or "darcy"
     scale = args.scale or file_dict.get("scale") or "desk"
@@ -87,9 +70,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f.name)
         if value is not None:
             merged[f.name] = value
-    cfg = RunConfig.from_dict(merged)
-    cfg.resolved()  # validate() once the delta/mode rules have filled their fields
-    return cfg
+    return RunConfig.from_dict(merged)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -113,11 +94,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="DIR", help="also write report.csv / report.json")
 
     p = sub.add_parser("verify-linear", help="check the linear-case error bound")
-    p.add_argument("--n-dim", dest="n_dim", type=_positive_int, default=4)
-    p.add_argument("--n-obs", dest="n_obs", type=_positive_int, default=6)
+    p.add_argument("--n-dim", dest="n_dim", type=int, default=4)
+    p.add_argument("--n-obs", dest="n_obs", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=_alpha, default=1.0)
-    p.add_argument("--eps", type=_eps_list, default=(1e-1, 1e-2, 1e-3, 1e-4),
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--eps", type=_float_tuple, default=(1e-1, 1e-2, 1e-3, 1e-4),
                    metavar="E1,E2,...")
     p.add_argument("--out", metavar="DIR", help="also write linear_check.json")
 
@@ -126,7 +107,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-prior", help="draw parameter samples from the prior")
     _add_config_flags(p)
-    p.add_argument("--n", type=_positive_int, default=4)
+    p.add_argument("--n", type=int, default=4)
 
     return top
 
@@ -134,40 +115,27 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "report":
-        for rec in args.records:  # a record.json or the run directory holding one
-            if not (Path(rec).is_file() or Path(rec, "record.json").is_file()):
-                parser.error(f"no run record at {rec}")
-        print(cmd_report(args.records, out_dir=args.out), end="")
-        return 0
-
-    if args.command == "verify-linear":
-        rep = cmd_verify_linear(n_dim=args.n_dim, n_obs=args.n_obs,
-                                seed=args.seed, eps=args.eps, alpha=args.alpha,
-                                out_dir=args.out)
-        print(json.dumps(rep, indent=1, sort_keys=True, default=float))
-        return 0 if rep["passed"] else 1  # 2 is a usage error
-
     try:
+        if args.command == "report":
+            print(cmd_report(args.records, out_dir=args.out), end="")
+            return 0
+        if args.command == "verify-linear":
+            rep = cmd_verify_linear(n_dim=args.n_dim, n_obs=args.n_obs,
+                                    seed=args.seed, eps=args.eps, alpha=args.alpha,
+                                    out_dir=args.out)
+            print(json.dumps(rep, indent=1, sort_keys=True, default=float))
+            return 0 if rep["passed"] else 1  # 2 is a usage error
         cfg = build_config(args)
-    except ValueError as err:  # a usage error: exit 2, no traceback
+        if args.command == "train-offline":
+            print(cmd_train_offline(cfg))
+        elif args.command == "invert":
+            print(cmd_invert(cfg, checkpoint=args.checkpoint))
+        elif args.command == "solve-forward":
+            print(cmd_solve_forward(cfg))
+        elif args.command == "sample-prior":
+            print(cmd_sample_prior(cfg, n=args.n))
+    except UsageError as err:  # exit 2, one error line, no traceback
         parser.error(str(err))
-    if args.command == "invert" and cfg.mode != "fem-uki":
-        stem = args.checkpoint
-        if stem is None:
-            parser.error(f"--mode {cfg.mode} requires --checkpoint")
-        for path in (stem + ".json", stem + ".bin"):
-            if not Path(path).is_file():
-                parser.error(f"--checkpoint {stem}: no file {path}")
-    if args.command == "train-offline":
-        print(cmd_train_offline(cfg))
-    elif args.command == "invert":
-        print(cmd_invert(cfg, checkpoint=args.checkpoint))
-    elif args.command == "solve-forward":
-        print(cmd_solve_forward(cfg))
-    elif args.command == "sample-prior":
-        print(cmd_sample_prior(cfg, n=args.n))
     return 0
 
 

@@ -86,6 +86,10 @@ SCALES = ("desk", "paper")
 STREAMS = {"prior": 0, "noise": 1, "init": 2, "pool": 3, "truth": 5}
 
 
+class UsageError(ValueError):
+    """A bad setting, file or path, refused before any work; the CLI exits 2."""
+
+
 def default_t_steps(mode: str) -> int:
     """Inversion steps per cycle of the adaptive loop, or per plain run."""
     return 10 if mode == "deeponet-adaptive" else 20
@@ -159,27 +163,27 @@ class RunConfig:
         for name, allowed in (("problem", SPECS), ("scale", SCALES), ("mode", MODES),
                               ("truth", TRUTHS)):
             if getattr(self, name) not in allowed:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+                raise UsageError(f"unknown {name} {getattr(self, name)!r}")
         if self.grid < 3:
-            raise ValueError(f"grid must be at least 3, got {self.grid}")
+            raise UsageError(f"grid must be at least 3, got {self.grid}")
         for name in _AT_LEAST_1:
             v = getattr(self, name)
             if v is not None and v < 1:
-                raise ValueError(f"{name} must be at least 1, got {v}")
+                raise UsageError(f"{name} must be at least 1, got {v}")
         if any(w < 1 for w in self.hidden):
-            raise ValueError(f"hidden widths must be at least 1, got {list(self.hidden)}")
+            raise UsageError(f"hidden widths must be at least 1, got {list(self.hidden)}")
         if self.q_new is not None and self.q_new > self.k_pool:
-            raise ValueError(f"q_new ({self.q_new}) cannot exceed k_pool ({self.k_pool})")
+            raise UsageError(f"q_new ({self.q_new}) cannot exceed k_pool ({self.k_pool})")
         for name in ("epsilon", "lam", "start_cov"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("delta", "n_probe", "offline_iters", "online_iters", "seed"):
             if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+                raise UsageError(f"{name} must be at least 0, got {getattr(self, name)}")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+            raise UsageError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.spec.point is None and not 1 <= self.encoder_axis <= self.grid:
-            raise ValueError(f"encoder_axis must lie in [1, grid {self.grid}], "
+            raise UsageError(f"encoder_axis must lie in [1, grid {self.grid}], "
                              f"got {self.encoder_axis}")
 
     @property
@@ -210,16 +214,16 @@ class RunConfig:
         # retired: files hold heat-loc's PointParam.box; another box must not load
         box = d.pop("chi_box", None)
         if box is not None and tuple(box) != SPECS["heat-loc"].point.box:
-            raise ValueError(f"chi_box {list(box)} is retired; the prior box is fixed")
+            raise UsageError(f"chi_box {list(box)} is retired; the prior box is fixed")
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         bad = set(d) - set(types)
         if bad:
-            raise ValueError(f"unknown config fields: {sorted(bad)}")
+            raise UsageError(f"unknown config fields: {sorted(bad)}")
         for name, v in d.items():
             kind, _, nullable = types[name].partition(" | ")
             what, ok = _KINDS[kind]
             if not (ok(v) or (nullable and v is None)):
-                raise ValueError(f"config field {name} must be {what}"
+                raise UsageError(f"config field {name} must be {what}"
                                  f"{' or null' if nullable else ''}, got {v!r}")
         return cls(**d)
 
@@ -240,7 +244,7 @@ def preset(problem: str, scale: str = "desk") -> RunConfig:
     Desk scale shrinks grid, mode count, and training budget so a full run
     finishes in minutes; paper scale restores the published sizes."""
     if problem not in SPECS:
-        raise ValueError(f"unknown problem {problem!r}")
+        raise UsageError(f"unknown problem {problem!r}")
     if scale not in SCALES:
-        raise ValueError("scale must be 'desk' or 'paper'")
+        raise UsageError("scale must be 'desk' or 'paper'")
     return RunConfig(problem=problem, scale=scale, **getattr(SPECS[problem], scale))

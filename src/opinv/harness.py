@@ -26,7 +26,7 @@ from .adaptive import (
     run_adaptive,
     speedup,
 )
-from .config import RunConfig, default_t_steps
+from .config import RunConfig, UsageError, default_t_steps
 from .deeponet import (
     NetArch,
     Surrogate,
@@ -367,14 +367,25 @@ def load_training_set(path) -> TrainingSet:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each checks what it reads before any work, raising UsageError
+
+
+def _out_path(path) -> Path | None:
+    """``path`` as a Path; UsageError if it is, or lies below, an existing
+    non-directory.  The caller creates it once every other check has passed."""
+    if path is None:
+        return None
+    found = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not found.is_dir():
+        raise UsageError(f"output path {path}: {found} exists and is not a directory")
+    return Path(path)
 
 
 def cmd_train_offline(cfg: RunConfig) -> str:
     """Offline stage: prior dataset, full-order solves, surrogate training.
     Returns the checkpoint stem path."""
     cfg = cfg.resolved()
-    out = Path(cfg.out_dir)
+    out = _out_path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bench = Bench(cfg)
     t0 = time.perf_counter()
@@ -394,38 +405,46 @@ def cmd_train_offline(cfg: RunConfig) -> str:
 
 def _load_checkpoint(bench: Bench, stem):
     """The checkpoint's surrogate and, for the adaptive mode, its training
-    set; ValueError before any solve if either does not fit ``bench``."""
+    set; UsageError if either does not fit ``bench``.  Runs once the Bench
+    has solved the truth, before the inversion's first solve."""
     surrogate = Surrogate.load(stem)
     bench_in = bench.encode(np.zeros(bench.cfg.n_dim)).shape[1]
     if surrogate.arch.branch[0] != bench_in:
-        raise ValueError(
-            f"checkpoint expects {surrogate.arch.branch[0]} branch inputs, "
+        raise UsageError(
+            f"--checkpoint {stem} expects {surrogate.arch.branch[0]} branch inputs, "
             f"config implies {bench_in}")
     if bench.cfg.mode != "deeponet-adaptive":
         return surrogate, None
-    ds_path = Path(stem).parent / "dataset.npz"
-    if not ds_path.exists():
-        raise ValueError("adaptive mode needs dataset.npz next to the checkpoint")
-    dataset = load_training_set(ds_path)
+    dataset = load_training_set(Path(stem).parent / "dataset.npz")
     if not np.array_equal(dataset.queries, bench.query_pts):
         per_axis = math.isqrt(len(dataset.queries) // max(1, len(bench.obs_times)))
-        raise ValueError(
-            f"checkpoint dataset sits on a {per_axis} x {per_axis} query lattice "
+        raise UsageError(
+            f"--checkpoint {stem}: dataset sits on a {per_axis} x {per_axis} query lattice "
             f"({len(dataset.queries)} points), config implies "
             f"{bench.cfg.query_axis} x {bench.cfg.query_axis} ({len(bench.query_pts)})")
     return surrogate, dataset
 
 
 def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
-    """Run one inversion in the configured mode; returns the record path."""
+    """Run one inversion in the configured mode; returns the record path.
+    A surrogate mode reads <checkpoint>.json and .bin, the adaptive mode
+    also the dataset.npz beside them."""
     cfg = cfg.resolved()
+    out = _out_path(cfg.out_dir)  # save_record creates it
+    if cfg.mode != "fem-uki":
+        if checkpoint is None:
+            raise UsageError(f"--mode {cfg.mode} requires --checkpoint")
+        paths = [f"{checkpoint}.json", f"{checkpoint}.bin"]
+        if cfg.mode == "deeponet-adaptive":
+            paths.append(Path(checkpoint).parent / "dataset.npz")
+        for path in paths:
+            if not Path(path).is_file():
+                raise UsageError(f"--checkpoint {checkpoint}: no file {path}")
     bench = Bench(cfg)
     if cfg.mode == "fem-uki":
         record = run_plain_mode(bench, lambda P: bench.full_forward(P, "fem-uki"))
         surrogate = None
     else:
-        if checkpoint is None:
-            raise ValueError(f"mode {cfg.mode} requires a checkpoint")
         surrogate, dataset = _load_checkpoint(bench, checkpoint)
         if cfg.mode == "deeponet-direct":
             task = InversionTask(bench, surrogate, None)
@@ -433,8 +452,6 @@ def cmd_invert(cfg: RunConfig, checkpoint=None) -> str:
         else:
             record = run_adaptive_mode(bench, surrogate, dataset)
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     fields = None
     if cfg.spec.point is not None:  # a point estimate goes into the record itself
         record.extras["chi_hat"] = record.final_r
@@ -463,7 +480,11 @@ def cmd_report(paths, out_dir=None) -> str:
     asymptotic count ratio at this record's settings and cycles actually
     used).  Output depends only on the records, so re-runs are identical."""
     if not paths:
-        raise ValueError("need at least one record")
+        raise UsageError("need at least one record")
+    for p in paths:  # a record.json or the run directory holding one
+        if not (Path(p).is_file() or Path(p, "record.json").is_file()):
+            raise UsageError(f"no run record at {p}")
+    out = _out_path(out_dir)
     records = [load_record(p) for p in paths]
     records.sort(key=lambda r: (r["config"]["problem"], r["mode"], r["_path"]))
     fem_base = {}
@@ -512,8 +533,7 @@ def cmd_report(paths, out_dir=None) -> str:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     text = "\n".join(lines) + "\n"
 
-    if out_dir is not None:
-        out = Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "report.csv", "w") as fh:
             fh.write(",".join(header) + "\n")
@@ -540,6 +560,14 @@ def cmd_verify_linear(n_dim: int = 4, n_obs: int = 6, seed: int = 0,
                       eps=(1e-1, 1e-2, 1e-3, 1e-4), alpha: float = 1.0,
                       out_dir=None) -> dict:
     """Check the linear-case error bound numerically on a random model."""
+    for name, v in (("n_dim", n_dim), ("n_obs", n_obs)):
+        if v < 1:
+            raise UsageError(f"{name} must be at least 1, got {v}")
+    if not 0.0 < alpha <= 1.0:
+        raise UsageError(f"alpha must lie in (0, 1], got {alpha}")
+    if len(set(eps)) < 2 or not all(0.0 < e < math.inf for e in eps):
+        raise UsageError(f"eps needs two or more distinct positive values, got {list(eps)}")
+    out = _out_path(out_dir)
     model = random_linear_model(n_dim, n_obs, seed, alpha)
     try:
         rep = verify_error_bound(model, eps_list=tuple(eps), rng=seed)
@@ -548,12 +576,8 @@ def cmd_verify_linear(n_dim: int = 4, n_obs: int = 6, seed: int = 0,
     except RuntimeError as err:
         # e.g. underdetermined observations: no fixed point to perturb
         rep = {"passed": False, "error": str(err)}
-    rep["n_dim"] = n_dim
-    rep["n_obs"] = n_obs
-    rep["seed"] = seed
-    rep["alpha"] = alpha
-    if out_dir is not None:
-        out = Path(out_dir)
+    rep.update(n_dim=n_dim, n_obs=n_obs, seed=seed, alpha=alpha)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "linear_check.json", "w") as fh:
             json.dump(rep, fh, indent=1, sort_keys=True, default=float)
@@ -563,8 +587,8 @@ def cmd_verify_linear(n_dim: int = 4, n_obs: int = 6, seed: int = 0,
 def cmd_solve_forward(cfg: RunConfig) -> str:
     """Solve the configured truth forward problem and write state + data."""
     cfg = cfg.resolved()
+    out = _out_path(cfg.out_dir)
     bench = Bench(cfg)
-    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     shape = (bench.grid.nx, bench.grid.ny)
     fields = {f"state_{i}": u for i, u in enumerate(bench.truth_state.reshape(-1, *shape))}
@@ -578,8 +602,10 @@ def cmd_solve_forward(cfg: RunConfig) -> str:
 
 def cmd_sample_prior(cfg: RunConfig, n: int = 4) -> str:
     """Draw prior parameter samples (and realized fields where applicable)."""
+    if n < 1:
+        raise UsageError(f"n must be at least 1, got {n}")
     cfg = cfg.resolved()
-    out = Path(cfg.out_dir)
+    out = _out_path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = prior_params(cfg, n)
     np.savetxt(out / "params.csv", params, delimiter=",", fmt="%.17g")

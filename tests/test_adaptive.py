@@ -17,7 +17,7 @@ from opinv.adaptive import (
 from opinv.config import RunConfig
 from opinv.deeponet import TrainingError
 from opinv.observe import ObservationData, misfit
-from opinv.uki import GaussianState, UKIConfig, run_uki
+from opinv.uki import GaussianState, UKIConfig, UkiError, run_uki
 
 
 def obs_data(y, var=1.0):
@@ -100,9 +100,9 @@ def test_select_anchor_skips_invalid_states():
     assert rec.misfits[0] == math.inf
 
     nanfwd = lambda Z: np.full((len(Z), 1), np.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(UkiError):
         select_anchor(traj, nanfwd, obs_data([0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(UkiError):
         select_anchor([], fwd, obs_data([0.0]))
 
 
@@ -345,6 +345,17 @@ def test_dead_surrogate_yields_empty_partial_record():
     assert record.stopped.startswith("error at cycle 0")
     assert record.n_cycles == 0
     np.testing.assert_array_equal(record.final_r, state0.r)
+
+
+def test_a_defect_in_a_stage_propagates():
+    # only the stages' typed failures stop the loop: a surrogate whose rows
+    # are one column too wide is a defect, and its ValueError is no stop
+    G, _, data, state0 = loop_fixture(seed=19)
+    task = LinearTask(G)
+    task.surrogate_batch = lambda Z: np.hstack([Z @ task.G.T, np.zeros((len(Z), 1))])
+    cfg = loop_cfg(6, epsilon=0.01, i_max=3, t_steps=3, q_new=2, k_pool=10)
+    with pytest.raises(ValueError):
+        run_adaptive(task, data, state0, cfg)
 
 
 def test_probe_draws_follow_seed():

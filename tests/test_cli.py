@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,7 @@ def test_verify_linear_rejects_sizes_below_one(flag, capsys):
         main(["verify-linear", flag, "0"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: must be at least 1, got 0" in err
+    assert f"{flag[2:].replace('-', '_')} must be at least 1, got 0" in err
     assert "Traceback" not in err
 
 
@@ -265,20 +266,53 @@ def test_unreadable_config_file_is_a_usage_error(content, message, tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """A tiny trained checkpoint in train/, a copy of its net with no
+    dataset.npz beside it in bare/, and a fem-uki run record in fem/."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert main(["train-offline", *_tiny_flags(root / "train")]) == 0
+    (root / "bare").mkdir()
+    for name in ("checkpoint.json", "checkpoint.bin"):
+        shutil.copy(root / "train" / name, root / "bare")
+    assert main(["invert", "--mode", "fem-uki", *_tiny_flags(root / "fem")]) == 0
+    return root
+
+
+# "{root}" stands for the tiny_runs directory; "taken" is a file in the working
+# directory, and "run" a directory that must not be made
 @pytest.mark.parametrize("argv, message", [
     (["invert", "--mode", "deeponet-direct"], "--mode deeponet-direct requires --checkpoint"),
     (["invert", "--mode", "deeponet-adaptive", "--checkpoint", "missing/checkpoint"],
      "--checkpoint missing/checkpoint: no file missing/checkpoint.json"),
     (["report", "missing_dir"], "no run record at missing_dir"),
-], ids=["no-checkpoint", "missing-checkpoint", "missing-record"])
-def test_bad_path_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    (["invert", "--mode", "deeponet-adaptive", *_tiny_flags("run"),
+      "--checkpoint", "{root}/bare/checkpoint"], "no file {root}/bare/dataset.npz"),
+    (["invert", "--mode", "deeponet-direct", *_tiny_flags("run", "--encoder-axis", "4"),
+      "--checkpoint", "{root}/train/checkpoint"],
+     "expects 9 branch inputs, config implies 16"),
+    (["invert", "--mode", "deeponet-adaptive", *_tiny_flags("run", "--query-axis", "4"),
+      "--checkpoint", "{root}/train/checkpoint"],
+     "5 x 5 query lattice (25 points), config implies 4 x 4 (16)"),
+    (["invert", "--mode", "fem-uki", *_tiny_flags("taken")], "output path taken"),
+    (["train-offline", *_tiny_flags("taken")], "output path taken"),
+    (["solve-forward", *_tiny_flags("taken")], "output path taken"),
+    (["report", "{root}/fem", "--out", "taken"], "output path taken"),
+    (["verify-linear", "--out", "taken"], "output path taken"),
+    (["sample-prior", *_tiny_flags("taken/run")], "output path taken/run: taken exists"),
+], ids=["no-checkpoint", "missing-checkpoint", "missing-record", "missing-dataset",
+        "branch-width", "query-lattice", "invert-out-dir", "train-offline-out-dir",
+        "solve-forward-out-dir", "report-out", "verify-linear-out", "out-dir-below-a-file"])
+def test_bad_path_is_a_usage_error(argv, message, tiny_runs, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # checked before any work, so nothing lands here
+    Path("taken").write_text("")
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([word.format(root=tiny_runs) for word in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
-    assert not any(tmp_path.iterdir())
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert message.format(root=tiny_runs) in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def _readme_commands() -> list:

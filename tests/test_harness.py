@@ -9,7 +9,7 @@ import pytest
 
 from opinv import harness
 from opinv.adaptive import local_model_error, select_anchor
-from opinv.config import MODES, PROBLEMS, SPECS, ProblemSpec, RunConfig, preset
+from opinv.config import MODES, PROBLEMS, SPECS, ProblemSpec, RunConfig, UsageError, preset
 from opinv.deeponet import NetArch, TrainingSet, encoder_indices
 from opinv.forward import (
     DarcyProblem,
@@ -368,14 +368,14 @@ def test_cmd_train_offline_artifacts(trained_dir):
 
 def test_cmd_invert_requires_checkpoint(tmp_path):
     cfg = tiny_cfg(mode="deeponet-direct", out_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="checkpoint"):
+    with pytest.raises(UsageError, match="requires --checkpoint"):
         harness.cmd_invert(cfg)
 
 
 def test_cmd_invert_checkpoint_arch_mismatch(tmp_path, trained_dir):
     _, stem = trained_dir
     cfg = tiny_cfg(mode="deeponet-direct", encoder_axis=4, out_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="branch inputs"):
+    with pytest.raises(UsageError, match="branch inputs"):
         harness.cmd_invert(cfg, checkpoint=stem)
 
 
@@ -414,11 +414,21 @@ def test_cmd_invert_checkpoint_query_lattice_mismatch(tmp_path, trained_dir, mon
     _, stem = trained_dir
     cfg = tiny_cfg(mode="deeponet-adaptive", query_axis=4, out_dir=str(tmp_path))
     tally = _tally_forward_map(monkeypatch)
-    with pytest.raises(ValueError, match=r"5 x 5 query lattice \(25 points\), "
+    with pytest.raises(UsageError, match=r"5 x 5 query lattice \(25 points\), "
                                          r"config implies 4 x 4 \(16\)"):
         harness.cmd_invert(cfg, checkpoint=stem)
     assert tally.total() == 0
     assert not any(tmp_path.iterdir())
+
+
+def test_cmd_invert_refuses_a_file_as_out_dir_before_any_solve(tmp_path, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    tally = _tally_forward_map(monkeypatch)
+    with pytest.raises(UsageError, match="exists and is not a directory"):
+        harness.cmd_invert(tiny_cfg(mode="fem-uki", out_dir=str(taken)))
+    assert tally.total() == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 @pytest.fixture(scope="module")
