@@ -78,6 +78,19 @@ def _mlp_forward(params, x):
         acts.append(z if k == last else np.tanh(z))
     return acts
 
+
+def _mlp_output(params, x):
+    """``_mlp_forward(params, x)[-1]``, bit for bit, with one activation
+    alive at a time: each layer's bias and tanh are applied in place."""
+    last = len(params) - 1
+    for k, (W, b) in enumerate(params):
+        x = x @ W
+        x += b
+        if k != last:
+            np.tanh(x, out=x)
+    return x
+
+
 def _mlp_backward(params, grads, acts, d):
     """Writes the gradients of all (W, b) into the views ``grads``, given
     d = d loss / d output."""
@@ -125,11 +138,16 @@ class Surrogate:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """Surrogate outputs, shape (n_samples, n_queries)."""
-        beta = _mlp_forward(self.branch_params, np.atleast_2d(inputs))[-1]
-        tval = _mlp_forward(self.trunk_params, np.atleast_2d(queries))[-1]
-        raw = beta @ tval.T + self.w[-1]
-        return self.out_shift + self.out_scale * raw
+        """Surrogate outputs, shape (n_samples, n_queries), or (B, 1,
+        n_queries) for a (B, 1, n_in) stack of inputs.  Only backprop needs
+        every activation (``loss_and_grad``); here bias0, scale and shift
+        are applied in place to the one output array."""
+        tval = _mlp_output(self.trunk_params, np.atleast_2d(queries))
+        out = _mlp_output(self.branch_params, np.atleast_2d(inputs)) @ tval.T
+        out += self.w[-1]
+        out *= self.out_scale
+        out += self.out_shift
+        return out
 
     # -- persistence ------------------------------------------------------------
 

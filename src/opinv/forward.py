@@ -30,8 +30,13 @@ map of its parameter field.  Heat-field's is (its initial state adds a fixed
 term), and reaction-diffusion's is linear.  On a KL basis, ``forward_map``
 composes such a problem's states from the states of the zero field and of
 the basis rows, solved once per (problem, basis), instead of realizing and
-solving every row; any other problem's batch is realized by one
-``sample_field`` call.
+solving every row.  Any other batch is realized and solved in blocks of
+``_BLOCK`` rows written into one output array, so a batch's
+working memory is its output plus one block's; as a Darcy or heat-loc row's
+state never depends on its batch, the blocks change no bit.
+
+Only reaction-diffusion uses ``scipy.sparse``: its operator builders import
+it when first called, so a Darcy or heat-equation run never loads it.
 
 Diffusion under Neumann walls and the advection term both use node-centered
 finite-volume stencils (half cells at the walls) whose weighted column sums
@@ -45,13 +50,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solveh_banded
 
 from opinv.grf import Grid2D, KLBasis, sample_field
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class SolverError(RuntimeError):
@@ -80,6 +87,8 @@ def _interior_index(grid: Grid2D):
 
 def _stiffness_1d(n: int, h: float) -> sp.csr_matrix:
     """Symmetric FV stiffness for zero-flux walls: unit conductance faces."""
+    import scipy.sparse as sp
+
     main = np.full(n, 2.0 / h)
     main[0] = main[-1] = 1.0 / h
     off = np.full(n - 1, -1.0 / h)
@@ -98,6 +107,8 @@ def neumann_laplacian(grid: Grid2D) -> sp.csr_matrix:
     Equals the ghost-point 5-point stencil; with D = diag(trapezoid weights)
     it is -D^{-1} K for a symmetric stiffness K, so w.T lap = 0 exactly.
     """
+    import scipy.sparse as sp
+
     K = (sp.kron(_stiffness_1d(grid.nx, grid.hx), sp.diags(_weights_1d(grid.ny, grid.hy)))
          + sp.kron(sp.diags(_weights_1d(grid.nx, grid.hx)), _stiffness_1d(grid.ny, grid.hy)))
     winv = 1.0 / grid.trapezoid_weights()
@@ -108,6 +119,8 @@ def _face_flux_1d(n: int) -> sp.dia_matrix:
     """Net outflow of each of n nodes on a line, given nodal flux densities:
     a face carries the mean of its two nodes' densities, and the walls carry
     none."""
+    import scipy.sparse as sp
+
     diag = np.zeros(n)
     diag[0], diag[-1] = 0.5, -0.5
     return sp.diags([np.full(n - 1, -0.5), diag, np.full(n - 1, 0.5)], [-1, 0, 1])
@@ -120,6 +133,8 @@ def advection_operator(grid: Grid2D, v1: np.ndarray, v2: np.ndarray) -> sp.csr_m
     fluxes are dropped, which is exact when v is tangential at the walls.
     Weighted column sums vanish, so w.T A = 0 exactly.
     """
+    import scipy.sparse as sp
+
     wx, wy = _weights_1d(grid.nx, grid.hx), _weights_1d(grid.ny, grid.hy)
     A = (sp.kron(_face_flux_1d(grid.nx), sp.diags(wy)) @ sp.diags(np.ravel(v1))
          + sp.kron(sp.diags(wx), _face_flux_1d(grid.ny)) @ sp.diags(np.ravel(v2)))
@@ -429,6 +444,9 @@ class ReactionDiffusionProblem:
 def _rd_stepper(problem: ReactionDiffusionProblem):
     """(splu of M_im, M_ex) of one Crank-Nicolson step.  Keyed on the
     problem, not its grid, as a subclass may override velocity."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     g, dt = problem.grid, problem.dt
     A = problem.kappa * neumann_laplacian(g) - advection_operator(g, *problem.velocity())
     n = g.n_nodes
@@ -454,16 +472,23 @@ def _mode_states(problem, basis: KLBasis):
     return s0, problem.solve_batch(basis.weighted_modes) - s0
 
 
+# rows per solve_batch call of a forward_map batch that is not composed:
+# one block holds a desk Darcy UKI sigma batch (2 * 32 + 1 = 65 rows)
+_BLOCK = 128
+
+
 def forward_map(problem, basis: KLBasis | None, Z, ledger: Counter | None = None,
                 category: str = "forward") -> np.ndarray:
     """Full-order parameter-to-state map on a (B, n) batch: one state per
     row of Z, NaN where a solve failed, and ``ledger[category] += 1`` per
     row, failed rows included.  Rows are KL coefficients on ``basis``, or
     with ``basis`` None parameters used as is (such as heat-loc's source
-    centers).  An ``affine`` problem's states are composed, ``s0 + Z @ S``
-    from ``_mode_states(problem, basis)``; any other problem solves the
-    batch realized by one ``sample_field(basis, Z)`` call, whose rows each
-    round as a batch of one."""
+    centers).  An ``affine`` problem's states on a basis are composed,
+    ``s0 + Z @ S`` from ``_mode_states(problem, basis)``; any other batch is
+    solved in blocks of ``_BLOCK`` rows, each realized by one
+    ``sample_field(basis, block)`` call or used as is, into one output
+    array.  Every row rounds as a batch of one, so the
+    blocks leave each state as the whole batch would give it."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
         raise ValueError(f"parameter batch must be (B, n), got shape {Z.shape}")
@@ -471,9 +496,19 @@ def forward_map(problem, basis: KLBasis | None, Z, ledger: Counter | None = None
         raise TypeError(f"unknown problem type {type(problem).__name__}")
     if ledger is not None:
         ledger[category] += len(Z)
-    if basis is None:
-        return problem.solve_batch(Z)
-    if problem.affine:
+    if problem.affine and basis is not None:
         s0, S = _mode_states(problem, basis)
         return s0 + Z @ S
-    return problem.solve_batch(sample_field(basis, Z))
+
+    def solve(rows):
+        return problem.solve_batch(rows if basis is None else sample_field(basis, rows))
+
+    first = solve(Z[:_BLOCK])
+    if len(Z) <= _BLOCK:
+        return first
+    out = np.empty((len(Z), *first.shape[1:]))
+    out[:_BLOCK] = first
+    del first
+    for i in range(_BLOCK, len(Z), _BLOCK):
+        out[i:i + _BLOCK] = solve(Z[i:i + _BLOCK])
+    return out

@@ -1,10 +1,13 @@
 import gc
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from opinv import deeponet
+from opinv.config import preset
 from opinv.deeponet import (
     Adam,
     NetArch,
@@ -90,6 +93,52 @@ def test_eval_shape_and_batching():
     assert out.shape == (7, 4)
     # row i only depends on input i
     np.testing.assert_allclose(out[3], s.eval(U[3:4], X)[0], rtol=1e-14)
+
+
+def _desk_darcy_surrogate():
+    """The desk Darcy net (8x8 encoder inputs, three 64-wide tanh layers,
+    p = 40) with random weights, nonzero biases and bias0, and a
+    calibration that is not the identity."""
+    cfg = preset("darcy")
+    arch = NetArch((cfg.encoder_axis**2, *cfg.hidden, cfg.p_basis), (2, *cfg.hidden, cfg.p_basis))
+    s = Surrogate.init(arch, np.random.default_rng(3), out_shift=0.7, out_scale=13.0)
+    s.w += 0.05 * np.random.default_rng(4).standard_normal(s.w.size)
+    return s
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_eval_is_bit_identical_to_the_formula(stacked):
+    # out_shift + out_scale * (beta tval^T + bias0) from every layer's
+    # activations, on a 2-D batch and on a (B, 1, n) stack; inputs untouched
+    s = _desk_darcy_surrogate()
+    rng = np.random.default_rng(5)
+    U = rng.standard_normal((50, 1, 64) if stacked else (50, 64))
+    X = rng.uniform(size=(36, 2))
+    U0, X0 = U.copy(), X.copy()
+    beta = deeponet._mlp_forward(s.branch_params, U)[-1]
+    tval = deeponet._mlp_forward(s.trunk_params, X)[-1]
+    want = s.out_shift + s.out_scale * (beta @ tval.T + s.w[-1])
+    got = s.eval(U, X)
+    assert got.shape == want.shape == ((50, 1, 36) if stacked else (50, 36))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(U, U0) and np.array_equal(X, X0)
+
+
+def test_eval_keeps_one_activation_alive():
+    # a 2,000-row greedy-pool stack peaks below its input, three hidden
+    # activations and the output; keeping every layer's would not
+    s = _desk_darcy_surrogate()
+    X = np.random.default_rng(6).uniform(size=(36, 2))
+    s.eval(np.zeros((1, 1, 64)), X)
+    tracemalloc.start()
+    try:
+        U = np.random.default_rng(7).standard_normal((2000, 1, 64))
+        out = s.eval(U, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    activation = 2000 * max(s.arch.branch[1:-1]) * 8
+    assert peak < U.nbytes + 3 * activation + out.nbytes
 
 
 def test_init_reproducible():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solveh_banded
 
 from opinv import forward
-from opinv.config import SPECS
+from opinv.config import SPECS, preset
 from opinv.forward import (
     DarcyProblem,
     HeatSourceFieldProblem,
@@ -736,6 +737,62 @@ def test_forward_map_keeps_a_failed_darcy_row_in_place():
         (want,) = DarcyProblem(g).solve_batch(sample_field(basis, Z[i])[None])
         assert np.array_equal(states[i], want)
     assert led == {"fem-uki": 3}  # every row attempted and counted
+
+
+def _desk_problem(name):
+    """(problem, basis, Z-sampler) of a desk preset; the basis is None for a
+    point parameter, whose rows are drawn from its prior box."""
+    cfg = preset(name)
+    p = cfg.spec.build(cfg.grid)
+    if cfg.spec.point is not None:
+        return p, None, lambda rng, n: rng.uniform(*cfg.spec.point.box, (n, cfg.n_dim))
+    return p, build_kl_basis(p.grid, cfg.n_modes), lambda rng, n: rng.standard_normal(
+        (n, cfg.n_modes))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["darcy", "heat-loc"])
+def test_forward_map_blocks_match_batches_of_one(name):
+    # two blocks and three rows, the first row of the second block failing
+    # (a field past exp's range; a NaN source center): every row equals its
+    # own batch of one bit for bit, the failed row is NaN in its place, and
+    # nothing warns
+    p, basis, draw = _desk_problem(name)
+    n, bad = 2 * forward._BLOCK + 3, forward._BLOCK
+    Z = draw(np.random.default_rng(0), n)
+    Z[bad] = 1e4 if basis is not None else np.nan
+    led = Counter()
+    states = forward_map(p, basis, Z, led, "fem-uki")
+    rows = Z if basis is None else sample_field(basis, Z)
+    want = np.concatenate([p.solve_batch(row[None]) for row in rows])
+    assert states.shape == want.shape
+    assert np.array_equal(states.view(np.uint64), want.view(np.uint64))
+    failed = ~np.isfinite(states.reshape(n, -1)).all(axis=1)
+    assert np.flatnonzero(failed).tolist() == [bad]
+    assert np.isnan(states[bad]).all()
+    assert led == {"fem-uki": n}  # each row counted once
+
+
+def _traced(fn):
+    """(result, traced peak bytes) of fn(); numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_map_memory_is_one_block_beyond_its_output():
+    # the working set of a long Darcy batch is its output plus one block's,
+    # not a multiple of the batch
+    p, basis, draw = _desk_problem("darcy")
+    rng = np.random.default_rng(1)
+    Z1, Z8 = draw(rng, forward._BLOCK), draw(rng, 8 * forward._BLOCK)
+    forward_map(p, basis, Z1)  # warm the solver's caches
+    _, one_block = _traced(lambda: forward_map(p, basis, Z1))
+    U, peak = _traced(lambda: forward_map(p, basis, Z8))
+    assert peak < U.nbytes + 2 * one_block
 
 
 def test_forward_map_rejects_unknown_problem():

@@ -1,7 +1,10 @@
 """An unused import in src/opinv fails the suite; no linter is a dependency,
-so the check reads the source with ``ast``."""
+so the check reads the source with ``ast``.  Only reaction-diffusion may
+load ``scipy.sparse``: the guard runs each problem in a fresh interpreter."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,30 @@ def test_checker_flags_what_it_should():
               "__all__ = ['Grid2D']\n"
               "x = np.zeros(misfit)\n")
     assert unused_imports(source) == [(2, "os"), (6, "observe")]
+
+
+def _sparse_loaded_after(problems) -> list:
+    """Whether scipy.sparse is in sys.modules of a fresh interpreter after
+    ``import opinv.cli``, then after one full forward batch on each desk
+    Bench of ``problems`` in turn.  Runs in ``src/``, which ``python -c``
+    puts first on its import path."""
+    script = (
+        "import sys\n"
+        "import opinv.cli\n"
+        "from opinv.config import preset\n"
+        "from opinv.harness import Bench, prior_params\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        f"for name in {list(problems)!r}:\n"
+        "    bench = Bench(preset(name).resolved())\n"
+        "    bench.full_forward(prior_params(bench.cfg, 3), 'probe')\n"
+        "    print('scipy.sparse' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, cwd=SRC.parent)
+    return [line == "True" for line in out.stdout.split()]
+
+
+def test_only_reaction_diffusion_loads_scipy_sparse():
+    # the CLI and the Darcy and heat-equation solvers leave scipy.sparse
+    # (~2.4 MB resident) unloaded; the reaction-diffusion stepper loads it
+    assert _sparse_loaded_after(["darcy", "heat-field", "heat-loc", "reaction-diffusion"]) \
+        == [False, False, False, False, True]
