@@ -69,18 +69,8 @@ def _layer_views(arch: NetArch, flat: np.ndarray) -> tuple:
     return tuple(nets)
 
 
-def _mlp_forward(params, x):
-    """Returns the list of layer activations, acts[0] = x, acts[-1] = output."""
-    acts = [x]
-    last = len(params) - 1
-    for k, (W, b) in enumerate(params):
-        z = acts[-1] @ W + b
-        acts.append(z if k == last else np.tanh(z))
-    return acts
-
-
 def _mlp_output(params, x):
-    """``_mlp_forward(params, x)[-1]``, bit for bit, with one activation
+    """The MLP's output, rounded as in a training step, with one activation
     alive at a time: each layer's bias and tanh are applied in place."""
     last = len(params) - 1
     for k, (W, b) in enumerate(params):
@@ -89,22 +79,6 @@ def _mlp_output(params, x):
         if k != last:
             np.tanh(x, out=x)
     return x
-
-
-def _mlp_backward(params, grads, acts, d):
-    """Writes the gradients of all (W, b) into the views ``grads``, given
-    d = d loss / d output."""
-    last = len(params) - 1
-    for k in range(last, -1, -1):
-        if k != last:  # tanh' = 1 - a^2, formed in one buffer
-            dtanh = np.square(acts[k + 1])
-            np.subtract(1.0, dtanh, out=dtanh)
-            d = np.multiply(d, dtanh, out=dtanh)
-        gW, gb = grads[k]
-        np.matmul(acts[k].T, d, out=gW)
-        np.sum(d, axis=0, out=gb)
-        if k:  # nothing reads the gradient w.r.t. the network input
-            d = d @ params[k][0].T
 
 
 class Surrogate:
@@ -239,26 +213,66 @@ def empirical_loss(s: Surrogate, ts: TrainingSet) -> float:
     return float(np.mean(r * r))
 
 
-def loss_and_grad(s: Surrogate, inputs, targets, queries):
-    """Loss and its gradient w.r.t. the flat weight vector."""
-    b_acts = _mlp_forward(s.branch_params, inputs)
-    t_acts = _mlp_forward(s.trunk_params, queries)
-    beta, tval = b_acts[-1], t_acts[-1]
-    # out_shift + out_scale * (beta tval^T + bias0) - targets, in place
-    resid = beta @ tval.T
-    resid += s.w[-1]
-    resid *= s.out_scale
-    resid += s.out_shift
-    resid -= targets
-    loss = float(np.mean(resid * resid))
+class _Workspace:
+    """A training step's buffers for n entries and q queries: activations
+    (``acts[net][0]`` is the input), residual, gradient ``g`` and ``tmp``, which
+    holds the squared residual, then the deltas, then Adam's intermediates."""
 
-    d_raw = np.multiply(resid, 2.0 * s.out_scale / resid.size, out=resid)
-    g = np.empty_like(s.w)
-    b_grads, t_grads = _layer_views(s.arch, g)
-    _mlp_backward(s.branch_params, b_grads, b_acts, d_raw @ tval)
-    _mlp_backward(s.trunk_params, t_grads, t_acts, d_raw.T @ beta)
-    g[-1] = d_raw.sum()
-    return loss, g
+    def __init__(self, s: Surrogate, n: int, q: int):
+        arch, off = s.arch, q * s.arch.p
+        self.acts = [[None] + [np.empty((rows, w)) for w in widths[1:]]
+                     for rows, widths in ((n, arch.branch), (q, arch.trunk))]
+        self.resid, self.g = np.empty((n, q)), np.empty_like(s.w)
+        self.grads = _layer_views(arch, self.g)
+        wide = max(n, q) * max(arch.branch[1:] + arch.trunk[1:])
+        self.tmp = np.empty(max(n * q, off + wide, s.w.size))
+        self.sq = self.tmp[:n * q].reshape(n, q)
+        self.d_out = self.tmp[:off].reshape(q, arch.p)
+        self.deltas = [[self.tmp[off:off + a.size].reshape(a.shape) for a in acts[1:-1]]
+                       for acts in self.acts]
+
+    def __call__(self, s: Surrogate, inputs, targets, queries) -> float:
+        """The loss at ``s.w``; writes its gradient into ``g``.  The plain
+        formulas' operations, in their order, so the step rounds as they do."""
+        nets = (s.branch_params, s.trunk_params)
+        for params, acts, x in zip(nets, self.acts, (inputs, queries)):
+            acts[0] = x
+            for k, (W, b) in enumerate(params):
+                a = np.matmul(acts[k], W, out=acts[k + 1])
+                a += b
+                if k != len(params) - 1:
+                    np.tanh(a, out=a)
+        beta, tval, resid = self.acts[0][-1], self.acts[1][-1], self.resid
+        # out_shift + out_scale * (beta tval^T + bias0) - targets
+        np.matmul(beta, tval.T, out=resid)
+        resid += s.w[-1]
+        resid *= s.out_scale
+        resid += s.out_shift
+        resid -= targets
+        loss = float(np.mean(np.multiply(resid, resid, out=self.sq)))
+        d_raw = np.multiply(resid, 2.0 * s.out_scale / resid.size, out=resid)
+        np.matmul(d_raw.T, beta, out=self.d_out)
+        np.matmul(d_raw, tval, out=beta)  # read above, beta now holds the branch's delta
+        self.g[-1] = np.add.reduce(d_raw, axis=None)
+        for params, grads, acts, deltas, d in zip(nets, self.grads, self.acts,
+                                                  self.deltas, (beta, self.d_out)):
+            last = len(params) - 1
+            for k in range(last, -1, -1):
+                if k != last:  # tanh' = 1 - a^2, formed in a's own buffer
+                    a = np.square(acts[k + 1], out=acts[k + 1])
+                    d = np.multiply(d, np.subtract(1.0, a, out=a), out=a)
+                np.matmul(acts[k].T, d, out=grads[k][0])
+                np.add.reduce(d, axis=0, out=grads[k][1])
+                if k:  # nothing reads the gradient w.r.t. the network input
+                    d = np.matmul(d, params[k][0].T, out=deltas[k - 1])
+        return loss
+
+
+def loss_and_grad(s: Surrogate, inputs, targets, queries):
+    """Loss and its gradient w.r.t. the flat weight vector: one training
+    step on a fresh workspace, so each call returns a gradient of its own."""
+    ws = _Workspace(s, len(inputs), len(queries))
+    return ws(s, inputs, targets, queries), ws.g
 
 
 class Adam:
@@ -271,16 +285,20 @@ class Adam:
         self.v = np.zeros(n)
         self.t = 0
 
-    def step(self, w: np.ndarray, g: np.ndarray) -> None:
-        """Updates w and the moments in place."""
+    def step(self, w: np.ndarray, g: np.ndarray, tmp: np.ndarray | None = None) -> None:
+        """Updates w and the moments in place, rounding as ``w - lr m^ / (sqrt(v^)
+        + eps)``.  Consumes g: it and ``tmp`` (>= g's size) hold intermediates."""
+        tmp = np.empty_like(g) if tmp is None else tmp[:g.size]
         self.t += 1
         self.m *= self.beta1
-        self.m += (1 - self.beta1) * g
+        self.m += np.multiply(g, 1 - self.beta1, out=tmp)
         self.v *= self.beta2
-        self.v += (1 - self.beta2) * g * g
-        mh = self.m / (1 - self.beta1**self.t)
-        vh = self.v / (1 - self.beta2**self.t)
-        w -= self.lr * mh / (np.sqrt(vh) + self.eps)
+        self.v += np.multiply(np.multiply(g, 1 - self.beta2, out=tmp), g, out=tmp)
+        mh = np.divide(self.m, 1 - self.beta1**self.t, out=tmp)
+        vh = np.divide(self.v, 1 - self.beta2**self.t, out=g)
+        mh *= self.lr
+        mh /= np.add(np.sqrt(vh, out=vh), self.eps, out=vh)
+        w -= mh
 
 
 def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3) -> Surrogate:
@@ -296,16 +314,18 @@ def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3) -> Surr
         return s
     initial = empirical_loss(s, ts)
     opt = Adam(s.w.size, lr)
+    ws = _Workspace(s, ts.n_entries, len(ts.queries))
     # row-major like the residual: batched sensor readings come column-major
     targets = np.ascontiguousarray(ts.targets)
     for it in range(1, n_iters + 1):
-        loss, g = loss_and_grad(s, ts.inputs, targets, ts.queries)
+        loss = ws(s, ts.inputs, targets, ts.queries)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
-        opt.step(s.w, g)
+        opt.step(s.w, ws.g, ws.tmp)
         s.iters_done += 1
         if it % 100 == 0 or it == n_iters:
             s.train_log.append((s.iters_done, loss))
+    del ws, opt  # the final evaluation's buffers take their place
     final = empirical_loss(s, ts)
     if not np.isfinite(final) or final > initial:
         raise TrainingError(

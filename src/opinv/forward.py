@@ -33,7 +33,8 @@ the basis rows, solved once per (problem, basis), instead of realizing and
 solving every row.  Any other batch is realized and solved in blocks of
 ``_BLOCK`` rows written into one output array, so a batch's
 working memory is its output plus one block's; as a Darcy or heat-loc row's
-state never depends on its batch, the blocks change no bit.
+state never depends on its batch, the blocks change no bit.  Given a
+readout, the output holds each block's readings instead of its states.
 
 Only reaction-diffusion uses ``scipy.sparse``: its operator builders import
 it when first called, so a Darcy or heat-equation run never loads it.
@@ -478,7 +479,7 @@ _BLOCK = 128
 
 
 def forward_map(problem, basis: KLBasis | None, Z, ledger: Counter | None = None,
-                category: str = "forward") -> np.ndarray:
+                category: str = "forward", *, readout=None) -> np.ndarray:
     """Full-order parameter-to-state map on a (B, n) batch: one state per
     row of Z, NaN where a solve failed, and ``ledger[category] += 1`` per
     row, failed rows included.  Rows are KL coefficients on ``basis``, or
@@ -488,7 +489,9 @@ def forward_map(problem, basis: KLBasis | None, Z, ledger: Counter | None = None
     solved in blocks of ``_BLOCK`` rows, each realized by one
     ``sample_field(basis, block)`` call or used as is, into one output
     array.  Every row rounds as a batch of one, so the
-    blocks leave each state as the whole batch would give it."""
+    blocks leave each state as the whole batch would give it.  A row-wise
+    ``readout`` of states is applied to the composed batch or to each solved
+    block, so that only its output is kept for the whole batch."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
         raise ValueError(f"parameter batch must be (B, n), got shape {Z.shape}")
@@ -496,17 +499,19 @@ def forward_map(problem, basis: KLBasis | None, Z, ledger: Counter | None = None
         raise TypeError(f"unknown problem type {type(problem).__name__}")
     if ledger is not None:
         ledger[category] += len(Z)
+    read = readout or (lambda states: states)
     if problem.affine and basis is not None:
         s0, S = _mode_states(problem, basis)
-        return s0 + Z @ S
+        return read(s0 + Z @ S)
 
     def solve(rows):
-        return problem.solve_batch(rows if basis is None else sample_field(basis, rows))
+        return read(problem.solve_batch(rows if basis is None else sample_field(basis, rows)))
 
     first = solve(Z[:_BLOCK])
     if len(Z) <= _BLOCK:
         return first
-    out = np.empty((len(Z), *first.shape[1:]))
+    # in first's layout: a sensor readout comes column-major
+    out = np.empty_like(first, shape=(len(Z), *first.shape[1:]))
     out[:_BLOCK] = first
     del first
     for i in range(_BLOCK, len(Z), _BLOCK):

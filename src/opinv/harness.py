@@ -146,22 +146,30 @@ class Bench:
         """Full-order readings, one row per row of Z, counted under category.
         A row whose solve failed reads NaN: UKI truncates on it, the anchor
         scan scores it inf."""
-        return self.readings(forward_map(self.problem, self.basis, Z, self.ledger, category))
+        return forward_map(self.problem, self.basis, Z, self.ledger, category,
+                           readout=self.readings)
 
     def full_targets(self, Z, category) -> np.ndarray:
         """Full-order training targets, one row per row of Z, counted under
         category; raises SolverError if a solve failed, so no NaN target
-        enters a training set."""
-        return self.targets(_solved(forward_map(self.problem, self.basis, Z, self.ledger,
-                                                category)))
+        enters a training set.  Only the targets of the whole batch are kept."""
+        done = 0  # rows read so far: a failure names its row in Z
+
+        def read(states):
+            nonlocal done
+            _solved(states, first=done)
+            done += len(states)
+            return self.targets(states)
+
+        return forward_map(self.problem, self.basis, Z, self.ledger, category, readout=read)
 
 
-def _solved(states: np.ndarray) -> np.ndarray:
+def _solved(states: np.ndarray, first: int = 0) -> np.ndarray:
     """A batch of states that must all succeed; raises SolverError naming
-    the rows that are not finite."""
+    the rows that are not finite, counted from ``first``."""
     bad = np.flatnonzero(~np.isfinite(states.reshape(len(states), -1)).all(axis=1))
     if bad.size:
-        raise SolverError(f"full-order solve failed for batch rows {bad.tolist()}")
+        raise SolverError(f"full-order solve failed for batch rows {(bad + first).tolist()}")
     return states
 
 

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from opinv import deeponet
 from opinv.config import preset
 from opinv.deeponet import (
     Adam,
@@ -95,6 +94,15 @@ def test_eval_shape_and_batching():
     np.testing.assert_allclose(out[3], s.eval(U[3:4], X)[0], rtol=1e-14)
 
 
+def reference_acts(layers, x):
+    """Every activation of an MLP, ``acts[0] = x``, from plain formulas."""
+    acts = [x]
+    for k, (W, b) in enumerate(layers):
+        z = acts[-1] @ W + b
+        acts.append(z if k == len(layers) - 1 else np.tanh(z))
+    return acts
+
+
 def _desk_darcy_surrogate():
     """The desk Darcy net (8x8 encoder inputs, three 64-wide tanh layers,
     p = 40) with random weights, nonzero biases and bias0, and a
@@ -115,8 +123,8 @@ def test_eval_is_bit_identical_to_the_formula(stacked):
     U = rng.standard_normal((50, 1, 64) if stacked else (50, 64))
     X = rng.uniform(size=(36, 2))
     U0, X0 = U.copy(), X.copy()
-    beta = deeponet._mlp_forward(s.branch_params, U)[-1]
-    tval = deeponet._mlp_forward(s.trunk_params, X)[-1]
+    beta = reference_acts(s.branch_params, U)[-1]
+    tval = reference_acts(s.trunk_params, X)[-1]
     want = s.out_shift + s.out_scale * (beta @ tval.T + s.w[-1])
     got = s.eval(U, X)
     assert got.shape == want.shape == ((50, 1, 36) if stacked else (50, 36))
@@ -205,6 +213,25 @@ def test_adam_first_step_is_signed_learning_rate():
     assert w[2] == 0.0
 
 
+def test_adam_steps_match_the_out_of_place_formula():
+    # the in-place step rounds as w - lr m^ / (sqrt(v^) + eps) does, whether
+    # it gets a scratch array (longer than g, as in training) or makes one
+    rng = np.random.default_rng(50)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    w = rng.standard_normal(37)
+    want, m, v = w.copy(), np.zeros(37), np.zeros(37)
+    opt = Adam(37, lr)
+    for t in range(1, 7):
+        g = rng.standard_normal(37)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mh, vh = m / (1 - b1**t), v / (1 - b2**t)
+        want = want - lr * mh / (np.sqrt(vh) + eps)
+        opt.step(w, g.copy(), np.empty(40) if t % 2 else None)  # g is consumed
+        for got, ref in ((w, want), (opt.m, m), (opt.v, v)):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), t
+
+
 def test_training_fits_separable_toy_operator():
     # G(u)(x) = mean(u) + x, learnable with a tiny branch/trunk pair.
     rng = np.random.default_rng(7)
@@ -252,17 +279,12 @@ def test_training_is_independent_of_target_layout():
     np.testing.assert_array_equal(weights[0], weights[1])
 
 
-def reference_train(params, ts, n_iters, lr):
+def reference_train(params, ts, n_iters, lr, out_shift=0.0, out_scale=1.0):
     """Reference trainer: one (W, b) tuple per layer, packed into a flat
     vector with np.concatenate and stepped by an out-of-place Adam;
-    params = [branch layers, trunk layers, bias0], returned updated."""
-
-    def forward(layers, x):
-        acts = [x]
-        for k, (W, b) in enumerate(layers):
-            z = acts[-1] @ W + b
-            acts.append(z if k == len(layers) - 1 else np.tanh(z))
-        return acts
+    params = [branch layers, trunk layers, bias0], returned updated.
+    The calibrated residual is ``(raw + bias0) * out_scale + out_shift -
+    targets``, in that order."""
 
     def backward(layers, acts, d):
         grads = [None] * len(layers)
@@ -293,9 +315,10 @@ def reference_train(params, ts, n_iters, lr):
     m, v = np.zeros(w.size), np.zeros(w.size)
     for t in range(1, n_iters + 1):
         branch, trunk, bias0 = params
-        b_acts, t_acts = forward(branch, ts.inputs), forward(trunk, ts.queries)
-        resid = b_acts[-1] @ t_acts[-1].T + bias0 - targets
-        d_raw = resid * (2.0 / resid.size)
+        b_acts = reference_acts(branch, ts.inputs)
+        t_acts = reference_acts(trunk, ts.queries)
+        resid = (b_acts[-1] @ t_acts[-1].T + bias0) * out_scale + out_shift - targets
+        d_raw = resid * (2.0 * out_scale / resid.size)
         g = pack(backward(branch, b_acts, d_raw @ t_acts[-1]),
                  backward(trunk, t_acts, d_raw.T @ b_acts[-1]), float(d_raw.sum()))
         m = b1 * m + (1 - b1) * g
@@ -326,6 +349,74 @@ def test_flat_in_place_training_matches_per_layer_reference():
     assert s.w is w
     assert all(np.shares_memory(a, w) for layers in (s.branch_params, s.trunk_params)
                for layer in layers for a in layer)
+
+
+DESK_ARCH = NetArch((64, 64, 64, 64, 40), (2, 64, 64, 64, 40))
+
+
+def _desk_set(rng, n, queries):
+    return TrainingSet(rng.uniform(-1, 1, size=(n, 64)), rng.standard_normal((n, len(queries))),
+                       queries)
+
+
+def _reference_params(s):
+    """A surrogate's weights as reference_train takes them."""
+    return [[(W.copy(), b.copy()) for W, b in net]
+            for net in (s.branch_params, s.trunk_params)] + [float(s.w[-1])]
+
+
+def _assert_weights_equal(s, params):
+    branch, trunk, bias0 = params
+    want = np.concatenate([g.ravel() for layers in (branch, trunk) for W, b in layers
+                           for g in (W, b)] + [np.array([bias0])])
+    assert np.array_equal(s.w.view(np.uint64), want.view(np.uint64))
+
+
+def _desk_training(n=200, iters=20):
+    """A calibrated desk Darcy net trained on n entries at 144 queries, and
+    the reference's weights for the same run."""
+    rng = np.random.default_rng(40)
+    ts = _desk_set(rng, n, rng.uniform(size=(144, 2)))
+    s = Surrogate.init(DESK_ARCH, np.random.default_rng(41), out_shift=0.3, out_scale=1.7)
+    params = reference_train(_reference_params(s), ts, iters, 1e-3, 0.3, 1.7)
+    train(s, ts, iters, lr=1e-3)
+    return s, ts, params
+
+
+def test_calibrated_desk_net_trains_as_the_reference():
+    s, _, params = _desk_training()
+    _assert_weights_equal(s, params)
+
+
+def test_fine_tune_on_a_grown_set_trains_as_the_reference():
+    # 200 -> 220 entries: the fine-tune builds a workspace of the new size
+    s, ts, params = _desk_training()
+    grown = ts.extend(_desk_set(np.random.default_rng(42), 20, ts.queries))
+    fine_tune(s, grown, 20)
+    _assert_weights_equal(s, reference_train(params, grown, 20, 5e-4, 0.3, 1.7))
+
+
+def test_training_allocates_nothing_per_iteration():
+    # 50 iterations peak no higher than one: every buffer is made once per
+    # call; and each loss_and_grad call returns a gradient of its own
+    rng = np.random.default_rng(43)
+    ts = _desk_set(rng, 200, rng.uniform(size=(144, 2)))
+    s0 = Surrogate.init(DESK_ARCH, np.random.default_rng(44), out_shift=0.3, out_scale=1.7)
+    peaks = []
+    for n_iters in (1, 50):
+        s = Surrogate(DESK_ARCH, s0.w.copy(), s0.out_shift, s0.out_scale)
+        tracemalloc.start()
+        try:
+            train(s, ts, n_iters, lr=1e-3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096
+    _, g1 = loss_and_grad(s0, ts.inputs, ts.targets, ts.queries)
+    g1_copy = g1.copy()
+    _, g2 = loss_and_grad(s, ts.inputs, ts.targets, ts.queries)
+    assert not np.shares_memory(g1, g2)
+    np.testing.assert_array_equal(g1, g1_copy)
 
 
 def test_fine_tune_beats_cold_start_on_extended_set():

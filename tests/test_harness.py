@@ -1,13 +1,14 @@
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from opinv import harness
+from opinv import forward, harness
 from opinv.adaptive import local_model_error, select_anchor
 from opinv.config import MODES, PROBLEMS, SPECS, ProblemSpec, RunConfig, UsageError, preset
 from opinv.deeponet import NetArch, TrainingSet, encoder_indices
@@ -17,6 +18,7 @@ from opinv.forward import (
     HeatSourceLocProblem,
     ReactionDiffusionProblem,
     SolverError,
+    forward_map,
 )
 from opinv.grf import Grid2D, build_kl_basis, draw_uniform, sample_field
 from opinv.harness import Bench, make_truth
@@ -170,6 +172,35 @@ def test_offline_ledger_counts_exactly_n_prior(bench, trained):
     _, dataset, counts = trained
     assert counts == {"offline": bench.cfg.n_prior}
     assert dataset.n_entries == bench.cfg.n_prior
+
+
+def _traced_peak(fn):
+    """(result, traced peak bytes) of fn(); numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_targets_keep_targets_not_states():
+    # an 8-block desk Darcy batch is read block by block: it peaks below its
+    # targets plus one block's working set and one block of states (keeping
+    # the states took 8 blocks), reads what the whole state batch reads, bit
+    # for bit and in the same layout, and a failure names its row in Z
+    own = Bench(preset("darcy"))
+    B = forward._BLOCK
+    Z = np.random.default_rng(2).standard_normal((8 * B, own.cfg.n_modes))
+    _, one_block = _traced_peak(lambda: own.full_targets(Z[:B], "offline"))
+    T, peak = _traced_peak(lambda: own.full_targets(Z, "offline"))
+    assert peak < T.nbytes + one_block + B * own.grid.n_nodes * 8
+    want = own.targets(forward_map(own.problem, own.basis, Z))
+    assert T.strides == want.strides
+    assert np.array_equal(T.view(np.uint64), want.view(np.uint64))
+    Z[B + 2] = 1e4  # exp(m) overflows in this row only
+    with pytest.raises(SolverError, match=rf"rows \[{B + 2}\]"):
+        own.full_targets(Z[:2 * B], "offline")
 
 
 def test_offline_surrogate_shapes(bench, trained):
@@ -384,9 +415,9 @@ def _tally_forward_map(monkeypatch) -> Counter:
     Bench ledger."""
     tally, real = Counter(), harness.forward_map
 
-    def counting(problem, basis, Z, ledger, category):
+    def counting(problem, basis, Z, ledger, category, **kwargs):
         tally[category] += len(Z)
-        return real(problem, basis, Z, ledger, category)
+        return real(problem, basis, Z, ledger, category, **kwargs)
 
     monkeypatch.setattr(harness, "forward_map", counting)
     return tally
