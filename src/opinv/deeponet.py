@@ -216,7 +216,7 @@ def empirical_loss(s: Surrogate, ts: TrainingSet) -> float:
 class _Workspace:
     """A training step's buffers for n entries and q queries: activations
     (``acts[net][0]`` is the input), residual, gradient ``g`` and ``tmp``, which
-    holds the squared residual, then the deltas, then Adam's intermediates."""
+    holds the squared residual, then the deltas."""
 
     def __init__(self, s: Surrogate, n: int, q: int):
         arch, off = s.arch, q * s.arch.p
@@ -225,7 +225,7 @@ class _Workspace:
         self.resid, self.g = np.empty((n, q)), np.empty_like(s.w)
         self.grads = _layer_views(arch, self.g)
         wide = max(n, q) * max(arch.branch[1:] + arch.trunk[1:])
-        self.tmp = np.empty(max(n * q, off + wide, s.w.size))
+        self.tmp = np.empty(max(n * q, off + wide))
         self.sq = self.tmp[:n * q].reshape(n, q)
         self.d_out = self.tmp[:off].reshape(q, arch.p)
         self.deltas = [[self.tmp[off:off + a.size].reshape(a.shape) for a in acts[1:-1]]
@@ -284,17 +284,17 @@ class Adam:
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
+        self.tmp = np.empty(n)
 
-    def step(self, w: np.ndarray, g: np.ndarray, tmp: np.ndarray | None = None) -> None:
+    def step(self, w: np.ndarray, g: np.ndarray) -> None:
         """Updates w and the moments in place, rounding as ``w - lr m^ / (sqrt(v^)
-        + eps)``.  Consumes g: it and ``tmp`` (>= g's size) hold intermediates."""
-        tmp = np.empty_like(g) if tmp is None else tmp[:g.size]
+        + eps)``.  Consumes g: it and ``self.tmp`` hold the intermediates."""
         self.t += 1
         self.m *= self.beta1
-        self.m += np.multiply(g, 1 - self.beta1, out=tmp)
+        self.m += np.multiply(g, 1 - self.beta1, out=self.tmp)
         self.v *= self.beta2
-        self.v += np.multiply(np.multiply(g, 1 - self.beta2, out=tmp), g, out=tmp)
-        mh = np.divide(self.m, 1 - self.beta1**self.t, out=tmp)
+        self.v += np.multiply(np.multiply(g, 1 - self.beta2, out=self.tmp), g, out=self.tmp)
+        mh = np.divide(self.m, 1 - self.beta1**self.t, out=self.tmp)
         vh = np.divide(self.v, 1 - self.beta2**self.t, out=g)
         mh *= self.lr
         mh /= np.add(np.sqrt(vh, out=vh), self.eps, out=vh)
@@ -313,15 +313,15 @@ def train(s: Surrogate, ts: TrainingSet, n_iters: int, lr: float = 1e-3) -> Surr
     if n_iters == 0:
         return s
     initial = empirical_loss(s, ts)
-    opt = Adam(s.w.size, lr)
-    ws = _Workspace(s, ts.n_entries, len(ts.queries))
     # row-major like the residual: batched sensor readings come column-major
     targets = np.ascontiguousarray(ts.targets)
+    # made after targets, so that freeing them frees the top of malloc's heap
+    opt, ws = Adam(s.w.size, lr), _Workspace(s, ts.n_entries, len(ts.queries))
     for it in range(1, n_iters + 1):
         loss = ws(s, ts.inputs, targets, ts.queries)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
-        opt.step(s.w, ws.g, ws.tmp)
+        opt.step(s.w, ws.g)
         s.iters_done += 1
         if it % 100 == 0 or it == n_iters:
             s.train_log.append((s.iters_done, loss))

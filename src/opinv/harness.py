@@ -151,25 +151,23 @@ class Bench:
 
     def full_targets(self, Z, category) -> np.ndarray:
         """Full-order training targets, one row per row of Z, counted under
-        category; raises SolverError if a solve failed, so no NaN target
-        enters a training set.  Only the targets of the whole batch are kept."""
-        done = 0  # rows read so far: a failure names its row in Z
+        category.  Only the targets are kept; once the batch is solved, raises
+        SolverError naming every failed row, so no NaN target enters training."""
+        def read(states):  # a failed state's targets read NaN, so _solved names its row
+            T = self.targets(states)
+            T[~np.isfinite(states.reshape(len(states), -1)).all(axis=1)] = np.nan
+            return T
 
-        def read(states):
-            nonlocal done
-            _solved(states, first=done)
-            done += len(states)
-            return self.targets(states)
-
-        return forward_map(self.problem, self.basis, Z, self.ledger, category, readout=read)
+        return _solved(forward_map(self.problem, self.basis, Z, self.ledger, category,
+                                   readout=read))
 
 
-def _solved(states: np.ndarray, first: int = 0) -> np.ndarray:
-    """A batch of states that must all succeed; raises SolverError naming
-    the rows that are not finite, counted from ``first``."""
+def _solved(states: np.ndarray) -> np.ndarray:
+    """A batch of states (or of their readings) that must all succeed; raises
+    SolverError naming the rows that are not finite."""
     bad = np.flatnonzero(~np.isfinite(states.reshape(len(states), -1)).all(axis=1))
     if bad.size:
-        raise SolverError(f"full-order solve failed for batch rows {(bad + first).tolist()}")
+        raise SolverError(f"full-order solve failed for batch rows {bad.tolist()}")
     return states
 
 

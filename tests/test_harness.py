@@ -188,7 +188,8 @@ def test_full_targets_keep_targets_not_states():
     # an 8-block desk Darcy batch is read block by block: it peaks below its
     # targets plus one block's working set and one block of states (keeping
     # the states took 8 blocks), reads what the whole state batch reads, bit
-    # for bit and in the same layout, and a failure names its row in Z
+    # for bit and in the same layout, and failures in two blocks are named
+    # together, by their rows in Z, once every row is solved and counted
     own = Bench(preset("darcy"))
     B = forward._BLOCK
     Z = np.random.default_rng(2).standard_normal((8 * B, own.cfg.n_modes))
@@ -198,9 +199,11 @@ def test_full_targets_keep_targets_not_states():
     want = own.targets(forward_map(own.problem, own.basis, Z))
     assert T.strides == want.strides
     assert np.array_equal(T.view(np.uint64), want.view(np.uint64))
-    Z[B + 2] = 1e4  # exp(m) overflows in this row only
-    with pytest.raises(SolverError, match=rf"rows \[{B + 2}\]"):
-        own.full_targets(Z[:2 * B], "offline")
+    Z[[B + 2, 2 * B + 5]] = 1e4  # exp(m) overflows in these rows only
+    solved = own.ledger["offline"]
+    with pytest.raises(SolverError, match=rf"rows \[{B + 2}, {2 * B + 5}\]$"):
+        own.full_targets(Z[:3 * B], "offline")
+    assert own.ledger["offline"] == solved + 3 * B
 
 
 def test_offline_surrogate_shapes(bench, trained):
