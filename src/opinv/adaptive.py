@@ -67,10 +67,13 @@ class AdaptiveRecord:
 
 
 def full_misfits(forward_full, Z, data) -> list:
-    """Full-order data misfit of each row of Z, from one batch call; a row
-    with non-finite outputs (a failed solve) counts as invalid (inf)."""
+    """Full-order data misfit of each row of Z, from one batch call and one
+    misfit batch; a row with non-finite outputs (a failed solve) is inf."""
     Y = np.asarray(forward_full(np.atleast_2d(Z)), dtype=float)
-    return [misfit(y, data) if np.all(np.isfinite(y)) else math.inf for y in Y]
+    ok = np.isfinite(Y).all(axis=1)
+    e = np.full(len(Y), math.inf)
+    e[ok] = misfit(Y[ok], data)
+    return e.tolist()
 
 
 def select_anchor(traj, forward_full, data) -> AnchorRecord:

@@ -54,7 +54,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg.lapack import dpbsv
 
 from opinv.grf import Grid2D, KLBasis, sample_field
 
@@ -165,9 +165,9 @@ class DarcyProblem:
         """(B, n_nodes) states of a (B, n_nodes) batch of log-conductivities.
         ``_darcy_bands`` and the residual check run on the whole batch; only
         the banded Cholesky runs per row, each row's band filling one reused
-        (ny-1, N) buffer for LAPACK ``pbsv``.  A row is left NaN if a face
-        conductance is not finite, if its Cholesky fails, or if its relative
-        residual is above 1e-10."""
+        (ny-1, N) buffer for a direct LAPACK ``dpbsv`` call.  A row is left NaN
+        if a face conductance is not finite, if its Cholesky fails, or if its
+        relative residual is above 1e-10."""
         g = self.grid
         b = self.interior_source
         bands, ok = _darcy_bands(self, _rows(P, g))
@@ -177,20 +177,22 @@ class DarcyProblem:
         for i in np.flatnonzero(ok):
             # north/south first: with ny = 3 both couplings sit at offset 1, row 0
             ab[nyi - 1], ab[0], ab[nyi] = bands[i, 1], bands[i, 0], bands[i, 2]
-            try:
-                U_int[i] = solveh_banded(ab, b, lower=False, check_finite=False)
-            except LinAlgError:
-                pass  # the row stays NaN
+            _, x, info = dpbsv(ab, b)
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of dpbsv")
+            if info == 0:  # info > 0, a failed Cholesky, leaves the row NaN
+                U_int[i] = x
         # residual by a band matvec on offsets 0, 1 and ny-2; a row that was not
         # solved, or that overflows, reads NaN or inf and fails the check
         with np.errstate(over="ignore", invalid="ignore"):
             R = bands[:, 2] * U_int
             R -= b
+            tmp = np.empty_like(R)
             for k, d in ((1, 1), (0, nyi)):
-                R[:, :-d] += bands[:, k, d:] * U_int[:, d:]
-                R[:, d:] += bands[:, k, d:] * U_int[:, :-d]
+                R[:, :-d] += np.multiply(bands[:, k, d:], U_int[:, d:], out=tmp[:, d:])
+                R[:, d:] += np.multiply(bands[:, k, d:], U_int[:, :-d], out=tmp[:, d:])
             res = np.sqrt(np.einsum("ij,ij->i", R, R)) / np.linalg.norm(b)
-        del bands, R
+        del bands, R, tmp
         U = np.zeros((len(U_int), g.n_nodes))
         U[:, _interior_index(g)] = U_int
         U[~(res <= 1e-10)] = np.nan

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .grf import Grid2D
 
@@ -115,17 +115,21 @@ def synthesize_data(y_ref: np.ndarray, delta: float, rng=None) -> ObservationDat
     return ObservationData(y_ref + amp * xi, amp**2 * np.eye(n), delta)
 
 
-def misfit(g_of_m: np.ndarray, data: ObservationData) -> float:
+def misfit(g_of_m: np.ndarray, data: ObservationData) -> float | np.ndarray:
     """Half squared data mismatch in the noise-whitened norm.
 
     ``0.5 || Sigma^{-1/2} (y - g) ||^2`` via a Cholesky solve of the
-    covariance, so non-diagonal SPD covariances work too.
+    covariance, so non-diagonal SPD covariances work too.  A (B, p) batch
+    gives B values from one factorization, each its row's own (p,) value.
     """
-    r = data.y_obs - np.asarray(g_of_m, dtype=float).ravel()
-    if r.size != data.n_obs:
+    G = np.asarray(g_of_m, dtype=float)
+    if G.ndim not in (1, 2) or G.shape[-1] != data.n_obs:
         raise ValueError("prediction length does not match data")
-    cf = scipy.linalg.cho_factor(data.noise_cov)
-    return 0.5 * float(r @ scipy.linalg.cho_solve(cf, r))
+    c, info = dpotrf(data.noise_cov, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"noise covariance: {info}-th leading minor not PD")
+    e = np.array([0.5 * float(r @ dpotrs(c, r)[0]) for r in data.y_obs - np.atleast_2d(G)])
+    return float(e[0]) if G.ndim == 1 else e
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class UkiError(RuntimeError):
@@ -136,11 +136,13 @@ def uki_step(state: GaussianState, forward_batch, data, cfg: UKIConfig):
     dy = Y[1:] - y_hat
     C_my = w * dm.T @ dy
     C_yy = w * dy.T @ dy + data.noise_cov
-    try:
-        cf = scipy.linalg.cho_factor(C_yy)
-    except scipy.linalg.LinAlgError as err:
-        raise UkiError(f"innovation covariance not positive definite: {err}") from err
-    gain = scipy.linalg.cho_solve(cf, C_my.T).T
+    if not np.all(np.isfinite(C_yy)):
+        raise UkiError("innovation covariance not finite")
+    c, info = dpotrf(C_yy, clean=0)  # cho_factor's call, without its checks
+    if info > 0:
+        raise UkiError(f"innovation covariance not positive definite: "
+                       f"{info}-th leading minor of the array is not positive definite")
+    gain = dpotrs(c, C_my.T)[0].T
 
     r_new = pred.r + gain @ (data.y_obs - y_hat)
     C_new = pred.C - gain @ C_my.T

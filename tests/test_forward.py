@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbsv
 
 from opinv import forward
 from opinv.config import SPECS, preset
@@ -309,12 +310,12 @@ def test_darcy_failed_factorization_row_is_nan(monkeypatch):
     P = np.array(_good_darcy_rows(g, 3))
     bad = _diagonal(p, P[1])
 
-    def solveh(ab, b, **kw):
+    def pbsv(ab, b, **kw):
         if np.array_equal(ab[-1], bad):
-            raise LinAlgError("2-th leading minor not positive definite")
-        return solveh_banded(ab, b, **kw)
+            return ab, np.full_like(b, 7.0), 2  # info 2: the 2nd leading minor
+        return dpbsv(ab, b, **kw)
 
-    monkeypatch.setattr(forward, "solveh_banded", solveh)
+    monkeypatch.setattr(forward, "dpbsv", pbsv)
     _check_failed_rows(p, P, {1})
 
 
@@ -326,11 +327,11 @@ def test_darcy_failed_residual_row_is_nan(monkeypatch):
     P = np.array(_good_darcy_rows(g, 3))
     bad = _diagonal(p, P[0])
 
-    def solveh(ab, b, **kw):
-        u = solveh_banded(ab, b, **kw)
-        return u * (1 + 1e-8) if np.array_equal(ab[-1], bad) else u
+    def pbsv(ab, b, **kw):
+        c, u, info = dpbsv(ab, b, **kw)
+        return c, u * (1 + 1e-8) if np.array_equal(ab[-1], bad) else u, info
 
-    monkeypatch.setattr(forward, "solveh_banded", solveh)
+    monkeypatch.setattr(forward, "dpbsv", pbsv)
     _check_failed_rows(p, P, {0})
 
 
@@ -347,14 +348,40 @@ def test_darcy_batch_rows_equal_one_row_solves(nx, ny, monkeypatch):
                   good[4], good[5], good[6]])
     chol_diag, res_diag = _diagonal(p, P[3]), _diagonal(p, P[5])
 
-    def solveh(ab, b, **kw):
+    def pbsv(ab, b, **kw):
         if np.array_equal(ab[-1], chol_diag):
-            raise LinAlgError("3-th leading minor not positive definite")
-        u = solveh_banded(ab, b, **kw)
-        return u * (1 + 1e-8) if np.array_equal(ab[-1], res_diag) else u
+            return ab, np.full_like(b, 7.0), 3  # info 3: the 3rd leading minor
+        c, u, info = dpbsv(ab, b, **kw)
+        return c, u * (1 + 1e-8) if np.array_equal(ab[-1], res_diag) else u, info
 
-    monkeypatch.setattr(forward, "solveh_banded", solveh)
+    monkeypatch.setattr(forward, "dpbsv", pbsv)
     _check_failed_rows(p, P, {1, 3, 5})
+
+
+@pytest.mark.parametrize("nx, ny", [(9, 9), (13, 16), (24, 24), (70, 70)])
+def test_darcy_rows_match_solveh_banded(nx, ny):
+    # the direct dpbsv call gives scipy's solveh_banded bits on every row
+    g = Grid2D(nx, ny)
+    p = DarcyProblem(g)
+    P = np.array(_good_darcy_rows(g, 5))
+    U = p.solve_batch(P)
+    bands, ok = forward._darcy_bands(p, P)
+    assert ok.all()
+    nyi = ny - 2
+    interior = forward._interior_index(g)
+    for u, (east, north, diag) in zip(U, bands):
+        ab = np.zeros((nyi + 1, len(diag)))
+        ab[nyi - 1], ab[0], ab[nyi] = north, east, diag
+        want = solveh_banded(ab, p.interior_source, lower=False, check_finite=False)
+        assert np.array_equal(u[interior], want)
+        assert np.all(np.delete(u, interior) == 0.0)
+
+
+def test_darcy_illegal_lapack_argument_raises(monkeypatch):
+    g = Grid2D(8, 8)
+    monkeypatch.setattr(forward, "dpbsv", lambda ab, b: (ab, b, -2))
+    with pytest.raises(ValueError, match="illegal value in argument 2"):
+        DarcyProblem(g).solve_batch(np.array(_good_darcy_rows(g, 1)))
 
 
 def test_darcy_grid_mismatch():

@@ -1,6 +1,8 @@
 """An unused import in src/opinv fails the suite; no linter is a dependency,
-so the check reads the source with ``ast``.  Only reaction-diffusion may
-load ``scipy.sparse``: the guard runs each problem in a fresh interpreter."""
+so the check reads the source with ``ast``.  So does a use of scipy's
+checked LAPACK wrappers, which the solvers call directly.  Only
+reaction-diffusion may load ``scipy.sparse``: the guard runs each problem in
+a fresh interpreter."""
 
 import ast
 import subprocess
@@ -54,6 +56,40 @@ def test_checker_flags_what_it_should():
               "__all__ = ['Grid2D']\n"
               "x = np.zeros(misfit)\n")
     assert unused_imports(source) == [(2, "os"), (6, "observe")]
+
+
+# scipy.linalg wrappers around dpbsv, dpotrf and dpotrs: their input checks
+# cost more than the Darcy row solves and small Cholesky solves they wrap
+WRAPPERS = frozenset({"solveh_banded", "cho_factor", "cho_solve"})
+
+
+def wrapper_uses(source: str) -> list:
+    """(line, name) of every name, attribute or from-import of ``WRAPPERS``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, a.name) for a in node.names if a.name in WRAPPERS]
+        elif isinstance(node, ast.Name) and node.id in WRAPPERS:
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in WRAPPERS:
+            out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_lapack_wrapper(path):
+    assert wrapper_uses(path.read_text()) == []
+
+
+def test_wrapper_checker_flags_planted_calls():
+    source = ("import scipy.linalg\n"
+              "from scipy.linalg import solveh_banded as banded\n"
+              "from scipy.linalg.lapack import dpbsv\n"
+              "def f(a, b):\n"
+              "    cf = scipy.linalg.cho_factor(a)\n"
+              "    return cho_solve(cf, b), dpbsv(a, b), banded(a, b)\n")
+    assert wrapper_uses(source) == [(2, "solveh_banded"), (5, "cho_factor"),
+                                    (6, "cho_solve")]
 
 
 def _sparse_loaded_after(problems) -> list:

@@ -190,10 +190,32 @@ def test_misfit_nonnegative_and_quartic_scaling(seed):
     assert misfit(g, data2) == pytest.approx(4.0 * phi, rel=1e-9, abs=1e-12)
 
 
+def test_misfit_matches_cho_solve_bit_for_bit():
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((9, 9))
+    cov = A @ A.T + 9.0 * np.eye(9)  # non-diagonal SPD
+    data = ObservationData(rng.standard_normal(9), cov, 0.1)
+    G = rng.standard_normal((5, 9))
+    for g in G:
+        r = data.y_obs - g
+        want = 0.5 * float(r @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), r))
+        assert misfit(g, data) == want
+    # a batch gives each row's own value
+    assert misfit(G, data).tolist() == [misfit(g, data) for g in G]
+
+
+def test_misfit_rejects_indefinite_covariance():
+    data = ObservationData(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor not PD"):
+        misfit(np.zeros(2), data)
+
+
 def test_misfit_rejects_length_mismatch():
     data = ObservationData(np.zeros(3), np.eye(3), 0.0)
     with pytest.raises(ValueError):
         misfit(np.zeros(2), data)
+    with pytest.raises(ValueError):
+        misfit(np.zeros((2, 2)), data)
 
 
 # -- persistence -----------------------------------------------------------------

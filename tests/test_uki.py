@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from opinv import uki
 from opinv.observe import ObservationData
 from opinv.uki import (
     GaussianState,
@@ -145,6 +147,47 @@ def test_uki_step_rejects_misshaped_forward():
     st, cfg, data = scalar_setup()
     with pytest.raises(ValueError):
         uki_step(st, lambda P: P[:, 0], data, cfg)  # one value, not one row, per point
+
+
+def test_gain_matches_cho_solve(monkeypatch):
+    # the direct dpotrf/dpotrs calls give scipy's cho_factor/cho_solve bits
+    rng = np.random.default_rng(5)
+    n, p = 6, 36
+    A = rng.standard_normal((p, n))
+    st = GaussianState(rng.standard_normal(n), random_spd(n, rng))
+    cfg = UKIConfig(alpha=0.8, r0=np.zeros(n), sigma_omega=np.eye(n))
+    data = ObservationData(rng.standard_normal(p), random_spd(p, rng), 0.0)
+    seen = {}
+    dpotrf, dpotrs = uki.dpotrf, uki.dpotrs
+
+    def potrf(a, **kw):
+        seen["C_yy"] = a
+        return dpotrf(a, **kw)
+
+    def potrs(c, b, **kw):
+        seen["rhs"] = b
+        seen["x"], info = dpotrs(c, b, **kw)
+        return seen["x"], info
+
+    monkeypatch.setattr(uki, "dpotrf", potrf)
+    monkeypatch.setattr(uki, "dpotrs", potrs)
+    uki_step(st, lambda P: np.tanh(P @ A.T), data, cfg)
+    want = cho_solve(cho_factor(seen["C_yy"]), seen["rhs"])
+    assert np.array_equal(seen["x"], want)
+
+
+def test_uki_step_names_the_failed_leading_minor():
+    st, cfg, _ = scalar_setup()
+    data = ObservationData(np.array([1.0]), -4.0 * np.eye(1), 0.0)  # C_yy = 2 - 4
+    with pytest.raises(UkiError, match="innovation covariance not positive definite: "
+                                      "1-th leading minor"):
+        uki_step(st, lambda P: P, data, cfg)
+
+
+def test_uki_step_rejects_overflowing_innovation_covariance():
+    st, cfg, data = scalar_setup()
+    with np.errstate(over="ignore"), pytest.raises(UkiError, match="not finite"):
+        uki_step(st, lambda P: 1e200 * P, data, cfg)
 
 
 def test_uki_config_validation():
