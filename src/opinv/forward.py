@@ -37,7 +37,8 @@ state never depends on its batch, the blocks change no bit.  Given a
 readout, the output holds each block's readings instead of its states.
 
 Only reaction-diffusion uses ``scipy.sparse``: its operator builders import
-it when first called, so a Darcy or heat-equation run never loads it.
+it when first called, so a Darcy or heat-equation run never loads it, nor
+scipy.linalg's package, which its ``splu`` loads and ``opinv._lapack`` skips.
 
 Diffusion under Neumann walls and the advection term both use node-centered
 finite-volume stencils (half cells at the walls) whose weighted column sums
@@ -54,8 +55,8 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv
 
+from opinv._lapack import dpbsv
 from opinv.grf import Grid2D, KLBasis, sample_field
 
 if TYPE_CHECKING:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,8 @@ def solve_fixed_point(model: LinearModel) -> FixedPoint:
     """Solve the Riccati equation for the predicted covariance, then one linear
     system for the mean.  Raises RuntimeError if a solve fails or either
     residual exceeds 1e-11 times the size of the terms it compares."""
+    # imported here, its one user, so that importing opinv skips scipy.linalg
+    from scipy.linalg import solve_discrete_are
     a, eye = model.alpha, np.eye(model.n_dim)
     try:
         P = solve_discrete_are(a * eye, model.G.T, model.sigma_omega, model.sigma_eta)

@@ -17,8 +17,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._lapack import dpotrf, dpotrs
 from .grf import Grid2D
 
 EXACT_DATA_VAR = 1e-12  # the diagonal floor of exact (delta = 0) data

@@ -28,7 +28,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+
+from ._lapack import dpotrf, dpotrs
 
 
 class UkiError(RuntimeError):

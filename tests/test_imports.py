@@ -1,8 +1,9 @@
 """An unused import in src/opinv fails the suite; no linter is a dependency,
 so the check reads the source with ``ast``.  So does a use of scipy's
 checked LAPACK wrappers, which the solvers call directly.  Only
-reaction-diffusion may load ``scipy.sparse``: the guard runs each problem in
-a fresh interpreter."""
+reaction-diffusion may load ``scipy.sparse`` and scipy.linalg's package: the
+guard runs each problem in a fresh interpreter, as do the checks that the
+solvers' LAPACK routines are scipy's own."""
 
 import ast
 import subprocess
@@ -92,28 +93,74 @@ def test_wrapper_checker_flags_planted_calls():
                                     (6, "cho_solve")]
 
 
-def _sparse_loaded_after(problems) -> list:
-    """Whether scipy.sparse is in sys.modules of a fresh interpreter after
+# modules that only reaction-diffusion may load: scipy.sparse, and scipy.linalg's
+# package, whose array-API layer imports numpy.f2py and the rest of numpy
+HEAVY = ("scipy.sparse", "scipy.linalg", "numpy.f2py")
+
+
+def _fresh(script: str) -> list:
+    """The printed lines of ``script`` run in a fresh interpreter in ``src/``,
+    which ``python -c`` puts first on its import path."""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, cwd=SRC.parent)
+    return out.stdout.split()
+
+
+def _heavy_loaded_after(problems) -> list:
+    """Which of ``HEAVY`` are in sys.modules of a fresh interpreter after
     ``import opinv.cli``, then after one full forward batch on each desk
-    Bench of ``problems`` in turn.  Runs in ``src/``, which ``python -c``
-    puts first on its import path."""
+    Bench of ``problems`` in turn."""
     script = (
         "import sys\n"
         "import opinv.cli\n"
         "from opinv.config import preset\n"
         "from opinv.harness import Bench, prior_params\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "def loaded():\n"
+        f"    print(','.join(m for m in {HEAVY!r} if m in sys.modules) or '-')\n"
+        "loaded()\n"
         f"for name in {list(problems)!r}:\n"
         "    bench = Bench(preset(name).resolved())\n"
         "    bench.full_forward(prior_params(bench.cfg, 3), 'probe')\n"
-        "    print('scipy.sparse' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, cwd=SRC.parent)
-    return [line == "True" for line in out.stdout.split()]
+        "    loaded()\n")
+    return [() if line == "-" else tuple(line.split(",")) for line in _fresh(script)]
 
 
 def test_only_reaction_diffusion_loads_scipy_sparse():
     # the CLI and the Darcy and heat-equation solvers leave scipy.sparse
-    # (~2.4 MB resident) unloaded; the reaction-diffusion stepper loads it
-    assert _sparse_loaded_after(["darcy", "heat-field", "heat-loc", "reaction-diffusion"]) \
-        == [False, False, False, False, True]
+    # (~2.4 MB resident) and scipy.linalg's package (~25 MB with the numpy
+    # submodules it imports) unloaded; the reaction-diffusion stepper's
+    # scipy.sparse.linalg loads all three
+    assert _heavy_loaded_after(["darcy", "heat-field", "heat-loc", "reaction-diffusion"]) \
+        == [(), (), (), (), HEAVY]
+
+
+@pytest.mark.parametrize("opinv_first", [True, False], ids=["opinv-first", "scipy-first"])
+def test_solvers_call_scipys_lapack_routines(opinv_first):
+    # opinv._lapack registers the extension it loads under scipy's name, so
+    # either import order leaves one _flapack module and one set of routines
+    imports = ["from opinv import forward, observe, uki",
+               "import scipy.linalg.lapack as lapack"]
+    script = "\n".join([
+        "import gc, sys, types",
+        *(imports if opinv_first else imports[::-1]),
+        "print(forward.dpbsv is lapack.dpbsv)",
+        "print(uki.dpotrf is observe.dpotrf is lapack.dpotrf)",
+        "print(uki.dpotrs is observe.dpotrs is lapack.dpotrs)",
+        "print(lapack._flapack is sys.modules['scipy.linalg._flapack'])",
+        "print(sum(isinstance(m, types.ModuleType) and m.__name__ == 'scipy.linalg._flapack'",
+        "          for m in gc.get_objects()))"])
+    assert _fresh(script) == ["True", "True", "True", "True", "1"]
+
+
+def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path):
+    from scipy.linalg import lapack
+
+    from opinv import _lapack
+    flapack = sys.modules["scipy.linalg._flapack"]
+    assert _lapack.flapack(tmp_path) is flapack
+    # with nothing loaded and no _flapack file in the directory, the
+    # routines come from scipy.linalg.lapack
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    routines = _lapack.flapack(tmp_path)
+    assert routines is lapack
+    assert routines.dpbsv is flapack.dpbsv
