@@ -20,7 +20,8 @@ array of parameters to a float64 array of states, one row per parameter:
 (B, n_nodes), or (B, len(obs_times), n_nodes) for a problem that keeps
 snapshots.  A solve that fails leaves its row NaN.  Heat-field and heat-loc
 map the whole batch with a few dense matmuls, and reaction-diffusion marches
-it with multi-column SuperLU solves.  Darcy builds the band rows of every
+it by block-tridiagonal elimination over x-lines, one ``(ny, ny) @ (ny, B)``
+matmul per line and sweep.  Darcy builds the band rows of every
 row's matrix, and checks every residual, in whole-batch array ops; only the
 banded Cholesky runs one row at a time.  A Darcy or heat-loc row's state
 never depends on the batch it rides in.
@@ -36,9 +37,9 @@ working memory is its output plus one block's; as a Darcy or heat-loc row's
 state never depends on its batch, the blocks change no bit.  Given a
 readout, the output holds each block's readings instead of its states.
 
-Only reaction-diffusion uses ``scipy.sparse``: its operator builders import
-it when first called, so a Darcy or heat-equation run never loads it, nor
-scipy.linalg's package, which its ``splu`` loads and ``opinv._lapack`` skips.
+No solver uses ``scipy.sparse`` or scipy.linalg's package: reaction-diffusion
+inverts its line blocks with numpy, and the others call LAPACK through
+``opinv._lapack``.
 
 Diffusion under Neumann walls and the advection term both use node-centered
 finite-volume stencils (half cells at the walls) whose weighted column sums
@@ -52,15 +53,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from opinv._lapack import dpbsv
 from opinv.grf import Grid2D, KLBasis, sample_field
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class SolverError(RuntimeError):
@@ -87,60 +84,38 @@ def _interior_index(grid: Grid2D):
     return idx
 
 
-def _stiffness_1d(n: int, h: float) -> sp.csr_matrix:
-    """Symmetric FV stiffness for zero-flux walls: unit conductance faces."""
-    import scipy.sparse as sp
-
-    main = np.full(n, 2.0 / h)
-    main[0] = main[-1] = 1.0 / h
-    off = np.full(n - 1, -1.0 / h)
-    return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
-
-
 def _weights_1d(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = h / 2
     return w
 
 
-def neumann_laplacian(grid: Grid2D) -> sp.csr_matrix:
-    """Node-centered FV Laplacian with zero-flux walls, acting on all nodes.
-
-    Equals the ghost-point 5-point stencil; with D = diag(trapezoid weights)
-    it is -D^{-1} K for a symmetric stiffness K, so w.T lap = 0 exactly.
-    """
-    import scipy.sparse as sp
-
-    K = (sp.kron(_stiffness_1d(grid.nx, grid.hx), sp.diags(_weights_1d(grid.ny, grid.hy)))
-         + sp.kron(sp.diags(_weights_1d(grid.nx, grid.hx)), _stiffness_1d(grid.ny, grid.hy)))
-    winv = 1.0 / grid.trapezoid_weights()
-    return (-sp.diags(winv) @ K).tocsr()
-
-
-def _face_flux_1d(n: int) -> sp.dia_matrix:
-    """Net outflow of each of n nodes on a line, given nodal flux densities:
-    a face carries the mean of its two nodes' densities, and the walls carry
-    none."""
-    import scipy.sparse as sp
-
-    diag = np.zeros(n)
-    diag[0], diag[-1] = 0.5, -0.5
-    return sp.diags([np.full(n - 1, -0.5), diag, np.full(n - 1, 0.5)], [-1, 0, 1])
-
-
-def advection_operator(grid: Grid2D, v1: np.ndarray, v2: np.ndarray) -> sp.csr_matrix:
-    """Conservative central discretization of u -> div(v u) on all nodes.
-
-    Face fluxes average the two adjacent nodal flux densities; wall-normal
-    fluxes are dropped, which is exact when v is tangential at the walls.
-    Weighted column sums vanish, so w.T A = 0 exactly.
-    """
-    import scipy.sparse as sp
-
-    wx, wy = _weights_1d(grid.nx, grid.hx), _weights_1d(grid.ny, grid.hy)
-    A = (sp.kron(_face_flux_1d(grid.nx), sp.diags(wy)) @ sp.diags(np.ravel(v1))
-         + sp.kron(sp.diags(wx), _face_flux_1d(grid.ny)) @ sp.diags(np.ravel(v2)))
-    return (sp.diags(1.0 / grid.trapezoid_weights()) @ A).tocsr()
+def _rd_stencil(grid: Grid2D, kappa: float, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """(5, nx, ny) stencil of ``u -> kappa lap u - div(v u)`` on all nodes:
+    each node's coefficient on itself and on its -x, +x, -y and +y neighbors
+    (zero off the grid).  The Laplacian is the ghost-point 5-point stencil;
+    advection face fluxes average the two adjacent nodal ``v u``, and
+    wall-normal fluxes are dropped, which is exact when v is tangential at
+    the walls."""
+    g = grid
+    wx, wy = _weights_1d(g.nx, g.hx)[:, None], _weights_1d(g.ny, g.hy)
+    S = np.zeros((5, g.nx, g.ny))
+    c, xm, xp, ym, yp = S
+    dx, dy = kappa / (g.hx * wx), kappa / (g.hy * wy)  # face conductance per weight
+    xm[1:], xp[:-1] = dx[1:], dx[:-1]
+    ym[:, 1:], yp[:, :-1] = dy[1:], dy[:-1]
+    c -= xm + xp + ym + yp
+    # a face carries the mean of its two nodes' v u; at a wall node the dropped
+    # wall face leaves the node's own half of its inner face on the diagonal
+    xm[1:] += 0.5 * v1[:-1] / wx[1:]
+    xp[:-1] -= 0.5 * v1[1:] / wx[:-1]
+    c[0] -= 0.5 * v1[0] / wx[0]
+    c[-1] += 0.5 * v1[-1] / wx[-1]
+    ym[:, 1:] += 0.5 * v2[:, :-1] / wy[1:]
+    yp[:, :-1] -= 0.5 * v2[:, 1:] / wy[:-1]
+    c[:, 0] -= 0.5 * v2[:, 0] / wy[0]
+    c[:, -1] += 0.5 * v2[:, -1] / wy[-1]
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -431,33 +406,56 @@ class ReactionDiffusionProblem:
 
     def solve_batch(self, P) -> np.ndarray:
         """(B, n_nodes) states at t_final of a (B, n_nodes) batch of initial
-        states: a Crank-Nicolson march of all rows together."""
+        states: a Crank-Nicolson march of all rows together, ``I + dt/2 A``
+        applied by shifted adds of its stencil and ``I - dt/2 A`` solved by
+        the two sweeps over x-lines of ``_rd_factor``."""
         g = self.grid
         M = _rows(P, g)
         n_steps = self.t_final / self.dt
         if abs(n_steps - round(n_steps)) > 1e-9:
             raise ValueError("dt must divide t_final")
-        lu, M_ex = _rd_stepper(self)
-        u = M.T.copy()
+        ex, inv, back = _rd_factor(self)
+        c, xm, xp, ym, yp = ex[..., None]
+        u = M.T.copy().reshape(g.nx, g.ny, -1)  # x-lines of columns
+        r, tmp = np.empty_like(u), np.empty_like(u)
         for _ in range(int(round(n_steps))):
-            u = lu.solve(M_ex @ u)
-        return u.T
+            np.multiply(c, u, out=r)
+            r[1:] += np.multiply(xm[1:], u[:-1], out=tmp[1:])
+            r[:-1] += np.multiply(xp[:-1], u[1:], out=tmp[:-1])
+            r[:, 1:] += np.multiply(ym[:, 1:], u[:, :-1], out=tmp[:, 1:])
+            r[:, :-1] += np.multiply(yp[:, :-1], u[:, 1:], out=tmp[:, :-1])
+            np.matmul(inv[0], r[0], out=u[0])
+            for i in range(1, g.nx):
+                r[i] += np.multiply(xm[i], u[i - 1], out=tmp[i])
+                np.matmul(inv[i], r[i], out=u[i])
+            for i in range(g.nx - 2, -1, -1):
+                u[i] += np.matmul(back[i], u[i + 1], out=tmp[i])
+        return u.reshape(g.n_nodes, -1).T
 
 
 @lru_cache(maxsize=8)
-def _rd_stepper(problem: ReactionDiffusionProblem):
-    """(splu of M_im, M_ex) of one Crank-Nicolson step.  Keyed on the
-    problem, not its grid, as a subclass may override velocity."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    g, dt = problem.grid, problem.dt
-    A = problem.kappa * neumann_laplacian(g) - advection_operator(g, *problem.velocity())
-    n = g.n_nodes
-    M_im = (sp.eye(n) - 0.5 * dt * A).tocsc()
-    M_ex = (sp.eye(n) + 0.5 * dt * A).tocsr()
-    # symmetric pattern: order on A + A.T (less fill than the default COLAMD)
-    return spla.splu(M_im, permc_spec="MMD_AT_PLUS_A"), M_ex
+def _rd_factor(problem: ReactionDiffusionProblem):
+    """(ex, inv, back) of a Crank-Nicolson step ``(I - dt/2 A) u' = (I +
+    dt/2 A) u``: ex the stencil of ``I + dt/2 A``, and the block LU over
+    x-lines of ``I - dt/2 A``, whose couplings between lines are the
+    diagonal ``-ex[1]`` to the previous line and ``-ex[2]`` to the next.
+    inv[i] is the inverse of line i's Schur complement ``T_i - diag(ex[1]_i)
+    back[i-1]``, T_i its tridiagonal block, and back[i] = ``inv[i]
+    diag(ex[2]_i)``.  Lines are not pivoted: weighted by w, ``I - dt/2 A`` is
+    diagonal plus a positive semidefinite stiffness and an advection part
+    that is skew up to O(dt |grad v|).  Keyed on the problem, as a subclass
+    may override velocity."""
+    g = problem.grid
+    ex = 0.5 * problem.dt * _rd_stencil(g, problem.kappa, *problem.velocity())
+    c, xm, xp, ym, yp = ex
+    inv = np.empty((g.nx, g.ny, g.ny))
+    back = np.zeros((g.nx, g.ny, g.ny))  # back[-1] stays 0: xp is 0 on the last line
+    for i in range(g.nx):
+        T = np.diag(1.0 - c[i]) - np.diag(ym[i, 1:], -1) - np.diag(yp[i, :-1], 1)
+        inv[i] = np.linalg.inv(T - xm[i, :, None] * back[i - 1])  # xm[0] is 0
+        back[i] = inv[i] * xp[i]
+    c += 1.0
+    return ex, inv, back
 
 
 # ---------------------------------------------------------------------------

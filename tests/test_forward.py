@@ -16,9 +16,9 @@ from opinv.forward import (
     HeatSourceFieldProblem,
     HeatSourceLocProblem,
     ReactionDiffusionProblem,
-    advection_operator,
+    _rd_stencil,
+    _weights_1d,
     forward_map,
-    neumann_laplacian,
 )
 from opinv.grf import Grid2D, build_kl_basis, sample_field
 
@@ -37,12 +37,87 @@ def prior_draw(n, seed):
 # -- operators ---------------------------------------------------------------
 
 
+# The sparse operator builders: the reference that the SuperLU marches below
+# are built from, and that the solvers' stencil is checked against.
+
+
+def _stiffness_1d(n: int, h: float) -> sp.csr_matrix:
+    """Symmetric FV stiffness for zero-flux walls: unit conductance faces."""
+    main = np.full(n, 2.0 / h)
+    main[0] = main[-1] = 1.0 / h
+    off = np.full(n - 1, -1.0 / h)
+    return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
+
+
+def neumann_laplacian(grid: Grid2D) -> sp.csr_matrix:
+    """Node-centered FV Laplacian with zero-flux walls, acting on all nodes.
+
+    Equals the ghost-point 5-point stencil; with D = diag(trapezoid weights)
+    it is -D^{-1} K for a symmetric stiffness K, so w.T lap = 0 exactly.
+    """
+    K = (sp.kron(_stiffness_1d(grid.nx, grid.hx), sp.diags(_weights_1d(grid.ny, grid.hy)))
+         + sp.kron(sp.diags(_weights_1d(grid.nx, grid.hx)), _stiffness_1d(grid.ny, grid.hy)))
+    winv = 1.0 / grid.trapezoid_weights()
+    return (-sp.diags(winv) @ K).tocsr()
+
+
+def _face_flux_1d(n: int) -> sp.dia_matrix:
+    """Net outflow of each of n nodes on a line, given nodal flux densities:
+    a face carries the mean of its two nodes' densities, and the walls carry
+    none."""
+    diag = np.zeros(n)
+    diag[0], diag[-1] = 0.5, -0.5
+    return sp.diags([np.full(n - 1, -0.5), diag, np.full(n - 1, 0.5)], [-1, 0, 1])
+
+
+def advection_operator(grid: Grid2D, v1: np.ndarray, v2: np.ndarray) -> sp.csr_matrix:
+    """Conservative central discretization of u -> div(v u) on all nodes.
+
+    Face fluxes average the two adjacent nodal flux densities; wall-normal
+    fluxes are dropped, which is exact when v is tangential at the walls.
+    Weighted column sums vanish, so w.T A = 0 exactly.
+    """
+    wx, wy = _weights_1d(grid.nx, grid.hx), _weights_1d(grid.ny, grid.hy)
+    A = (sp.kron(_face_flux_1d(grid.nx), sp.diags(wy)) @ sp.diags(np.ravel(v1))
+         + sp.kron(sp.diags(wx), _face_flux_1d(grid.ny)) @ sp.diags(np.ravel(v2)))
+    return (sp.diags(1.0 / grid.trapezoid_weights()) @ A).tocsr()
+
+
+def stencil_matrix(S) -> sp.csr_matrix:
+    """The (n_nodes, n_nodes) matrix of a (5, nx, ny) stencil: each node's
+    coefficient on itself and on its -x, +x, -y and +y neighbors."""
+    _, nx, ny = S.shape
+    idx = np.arange(nx * ny).reshape(nx, ny)
+    entries = [(idx, idx, S[0]), (idx[1:], idx[:-1], S[1, 1:]), (idx[:-1], idx[1:], S[2, :-1]),
+               (idx[:, 1:], idx[:, :-1], S[3, :, 1:]), (idx[:, :-1], idx[:, 1:], S[4, :, :-1])]
+    rows, cols, vals = (np.concatenate([np.ravel(e[k]) for e in entries]) for k in range(3))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny))
+
+
+def stencil_laplacian(grid):
+    zero = np.zeros((grid.nx, grid.ny))
+    return stencil_matrix(_rd_stencil(grid, 1.0, zero, zero))
+
+
+def stencil_advection(grid, v1, v2):
+    """The solvers' u -> div(v u), the stencil of kappa lap - div(v .) at kappa 0
+    negated."""
+    return -stencil_matrix(_rd_stencil(grid, 0.0, v1, v2))
+
+
 def test_neumann_laplacian_annihilates_constants_and_mass():
     g = Grid2D(9, 7)
-    L = neumann_laplacian(g)
+    L = stencil_laplacian(g)
     w = g.trapezoid_weights()
     assert np.abs(L @ np.ones(g.n_nodes)).max() < 1e-12
     assert np.abs(w @ L).max() < 1e-12  # exact discrete conservation
+
+
+@pytest.mark.parametrize("nx, ny", [(9, 7), (3, 5), (24, 24)])
+def test_stencil_laplacian_matches_sparse_builder(nx, ny):
+    g = Grid2D(nx, ny)
+    want = neumann_laplacian(g)
+    assert abs(stencil_laplacian(g) - want).max() <= 1e-13 * abs(want).max()
 
 
 def test_advection_operator_conserves_for_any_velocity():
@@ -50,14 +125,15 @@ def test_advection_operator_conserves_for_any_velocity():
     rng = np.random.default_rng(0)
     v1 = rng.standard_normal((8, 8))
     v2 = rng.standard_normal((8, 8))
-    A = advection_operator(g, v1, v2)
+    A = stencil_advection(g, v1, v2)
     w = g.trapezoid_weights()
     assert np.abs(w @ A).max() < 1e-12
 
 
 def advection_by_face_loop(grid, v1, v2):
-    """Oracle for advection_operator: the face fluxes assembled one face at a
-    time as COO triplets, duplicates summed on conversion to CSR."""
+    """Oracle for the advection stencil and advection_operator: the face
+    fluxes assembled one face at a time as COO triplets, duplicates summed on
+    conversion to CSR."""
     nx, ny = grid.nx, grid.ny
     wx = np.full(nx, grid.hx)
     wx[0] = wx[-1] = grid.hx / 2
@@ -98,14 +174,14 @@ def test_advection_operator_matches_face_loop(nx, ny):
     rng = np.random.default_rng(nx)
     v1, v2 = rng.standard_normal((2, nx, ny))
     want = advection_by_face_loop(g, v1, v2)
-    got = advection_operator(g, v1, v2)
-    assert abs(got - want).max() <= 1e-13 * abs(want).max()
+    for got in (stencil_advection(g, v1, v2), advection_operator(g, v1, v2)):
+        assert abs(got - want).max() <= 1e-13 * abs(want).max()
 
 
 def test_rotating_velocity_is_discretely_divergence_free():
     g = Grid2D(13, 13)
     p = ReactionDiffusionProblem(g)
-    A = advection_operator(g, *p.velocity())
+    A = stencil_advection(g, *p.velocity())
     # v1 = sin(pi x) cos(pi y), v2 = -cos(pi x) sin(pi y): central differences
     # of the two flux components cancel exactly, including at the walls
     assert np.abs(A @ np.ones(g.n_nodes)).max() < 1e-12
@@ -639,13 +715,26 @@ class _ReversedFlowProblem(ReactionDiffusionProblem):
         return -v1, -v2
 
 
-def test_rd_stepper_is_cached_per_problem():
+@pytest.mark.parametrize("nx, ny, kappa, dt", [
+    (9, 13, 1 / 30, 0.02), (13, 9, 1 / 30, 0.02), (3, 5, 1 / 30, 0.02),  # hx != hy
+    (24, 24, 1e-4, 0.02), (24, 24, 1e-6, 0.1),  # advection-dominated
+])
+def test_rd_matches_reference_march(nx, ny, kappa, dt):
+    p = ReactionDiffusionProblem(Grid2D(nx, ny), kappa=kappa, dt=dt)
+    M = np.random.default_rng(nx * ny).standard_normal((4, p.grid.n_nodes))
+    U = p.solve_batch(M)
+    assert _max_rel_gap(U, _rd_by_reference_march(p, M)) <= 1e-12
+    w = p.grid.trapezoid_weights()
+    assert np.abs(U @ w - M @ w).max() <= 1e-12 * np.abs(M @ w).max()
+
+
+def test_rd_factor_is_cached_per_problem():
     # a subclass with its own velocity, on the same grid, kappa and dt as its
     # parent, marches its own operator on a cold cache and on a warm one
     g = Grid2D(10, 10)
     M = np.random.default_rng(3).standard_normal((3, g.n_nodes))
     problems = [ReactionDiffusionProblem(g), _ReversedFlowProblem(g)]
-    forward._rd_stepper.cache_clear()
+    forward._rd_factor.cache_clear()
     for p in problems + problems[::-1] + problems:  # passes 2 and 3 read the cache
         assert _max_rel_gap(p.solve_batch(M), _rd_by_reference_march(p, M)) <= 1e-12
     base, reversed_ = (p.solve_batch(M) for p in problems)
@@ -745,12 +834,14 @@ def test_forward_map_matches_direct_solver(name):
         params = Z
     states = forward_map(p, basis, Z)
     assert len(states) == 5
+    given = params.copy()
     for got, param in zip(states, params):
         (want,) = p.solve_batch(param[None])
         if p.affine:
             assert _max_rel_gap(got, want) <= 1e-12
         else:
             assert np.array_equal(got, want)
+    assert np.array_equal(params, given)  # a solve leaves its input as it was
 
 
 def test_forward_map_keeps_a_failed_darcy_row_in_place():

@@ -1,9 +1,9 @@
 """An unused import in src/opinv fails the suite; no linter is a dependency,
 so the check reads the source with ``ast``.  So does a use of scipy's
-checked LAPACK wrappers, which the solvers call directly.  Only
-reaction-diffusion may load ``scipy.sparse`` and scipy.linalg's package: the
-guard runs each problem in a fresh interpreter, as do the checks that the
-solvers' LAPACK routines are scipy's own."""
+checked LAPACK wrappers, which the solvers call directly, or any import of
+``scipy.sparse``.  No problem's run may load ``scipy.sparse`` or
+scipy.linalg's package: the guard runs each problem in a fresh interpreter,
+as do the checks that the solvers' LAPACK routines are scipy's own."""
 
 import ast
 import subprocess
@@ -64,16 +64,31 @@ def test_checker_flags_what_it_should():
 WRAPPERS = frozenset({"solveh_banded", "cho_factor", "cho_solve"})
 
 
+def _is_sparse(module: str) -> bool:
+    return module == "scipy.sparse" or module.startswith("scipy.sparse.")
+
+
 def wrapper_uses(source: str) -> list:
-    """(line, name) of every name, attribute or from-import of ``WRAPPERS``."""
+    """(line, name) of every name, attribute or from-import of ``WRAPPERS``,
+    and of every import of ``scipy.sparse``, one of its submodules, or the
+    attribute ``scipy.sparse``."""
     out = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names if _is_sparse(a.name)]
+        elif isinstance(node, ast.ImportFrom):
+            if _is_sparse(node.module or ""):
+                out.append((node.lineno, node.module))
+            elif node.module == "scipy":
+                out += [(node.lineno, "scipy.sparse") for a in node.names
+                        if a.name == "sparse"]
             out += [(node.lineno, a.name) for a in node.names if a.name in WRAPPERS]
         elif isinstance(node, ast.Name) and node.id in WRAPPERS:
             out.append((node.lineno, node.id))
         elif isinstance(node, ast.Attribute) and node.attr in WRAPPERS:
             out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "scipy.sparse":
+            out.append((node.lineno, "scipy.sparse"))  # scipy loads it on access
     return sorted(out)
 
 
@@ -93,7 +108,21 @@ def test_wrapper_checker_flags_planted_calls():
                                     (6, "cho_solve")]
 
 
-# modules that only reaction-diffusion may load: scipy.sparse, and scipy.linalg's
+def test_wrapper_checker_flags_scipy_sparse_imports():
+    source = ("import scipy\n"
+              "import scipy.sparse as sp\n"
+              "from scipy import sparse, linalg\n"
+              "def f():\n"
+              "    import scipy.sparse.linalg\n"
+              "    from scipy.sparse.linalg import splu\n"
+              "    from scipy.linalg import lapack\n"
+              "    return scipy.sparse.eye(2), scipy.linalg\n")
+    assert wrapper_uses(source) == [(2, "scipy.sparse"), (3, "scipy.sparse"),
+                                    (5, "scipy.sparse.linalg"), (6, "scipy.sparse.linalg"),
+                                    (8, "scipy.sparse")]
+
+
+# modules that no problem's run may load: scipy.sparse, and scipy.linalg's
 # package, whose array-API layer imports numpy.f2py and the rest of numpy
 HEAVY = ("scipy.sparse", "scipy.linalg", "numpy.f2py")
 
@@ -125,13 +154,12 @@ def _heavy_loaded_after(problems) -> list:
     return [() if line == "-" else tuple(line.split(",")) for line in _fresh(script)]
 
 
-def test_only_reaction_diffusion_loads_scipy_sparse():
-    # the CLI and the Darcy and heat-equation solvers leave scipy.sparse
-    # (~2.4 MB resident) and scipy.linalg's package (~25 MB with the numpy
-    # submodules it imports) unloaded; the reaction-diffusion stepper's
-    # scipy.sparse.linalg loads all three
+def test_no_problem_loads_heavy_modules():
+    # the CLI and all four solvers leave scipy.sparse (~2.4 MB resident) and
+    # scipy.linalg's package (~25 MB with the numpy submodules it imports)
+    # unloaded
     assert _heavy_loaded_after(["darcy", "heat-field", "heat-loc", "reaction-diffusion"]) \
-        == [(), (), (), (), HEAVY]
+        == [(), (), (), (), ()]
 
 
 @pytest.mark.parametrize("opinv_first", [True, False], ids=["opinv-first", "scipy-first"])
